@@ -68,8 +68,7 @@ type options struct {
 	trace, occupancy, program    bool
 	asmOut, timeline, functional bool
 	verified                     bool
-	traceOut                     string
-	execTraceOut, execTraceFmt   string
+	traceOut, traceFmt           string
 }
 
 func main() {
@@ -82,9 +81,8 @@ func main() {
 	flag.BoolVar(&opts.program, "program", false, "print the generated transfer program")
 	flag.BoolVar(&opts.asmOut, "tinyrisc", false, "compile the transfer program to TinyRISC control code and print it")
 	flag.BoolVar(&opts.timeline, "timeline", false, "print the Gantt-style execution timeline")
-	flag.StringVar(&opts.traceOut, "chrometrace", "", "write a Chrome/Perfetto trace of the execution to this file")
-	flag.StringVar(&opts.execTraceOut, "trace-out", "", `write the recorded execution timeline to this file ("-" for stdout)`)
-	flag.StringVar(&opts.execTraceFmt, "trace-format", "chrome", "timeline format: chrome, svg or summary")
+	flag.StringVar(&opts.traceOut, "trace-out", "", `write the recorded execution timeline to this file ("-" for stdout)`)
+	flag.StringVar(&opts.traceFmt, "trace-format", "chrome", "timeline format: chrome, svg or summary")
 	flag.BoolVar(&opts.functional, "machine", false, "run the schedule functionally and report the output digest")
 	flag.BoolVar(&opts.verified, "verify", false, "audit the schedule with the post-hoc invariant verifier")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
@@ -156,28 +154,15 @@ func run(ctx context.Context, opts options) error {
 		sim.WriteTimeline(os.Stdout, res.Schedule, res.Timing)
 	}
 	if opts.traceOut != "" {
-		f, err := os.Create(opts.traceOut)
-		if err != nil {
-			return err
-		}
-		if err := sim.WriteTrace(f, res.Schedule, res.Timing); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote Chrome trace to %s (open in chrome://tracing or Perfetto)\n", opts.traceOut)
-	}
-	if opts.execTraceOut != "" {
 		_, tl, err := sim.Trace(res.Schedule)
 		if err != nil {
 			return err
 		}
-		if err := trace.ExportFile(opts.execTraceOut, opts.execTraceFmt, tl); err != nil {
+		if err := trace.ExportFile(opts.traceOut, opts.traceFmt, tl); err != nil {
 			return err
 		}
-		if opts.execTraceOut != "-" {
-			fmt.Printf("wrote %s timeline to %s\n", opts.execTraceFmt, opts.execTraceOut)
+		if opts.traceOut != "-" {
+			fmt.Printf("wrote %s timeline to %s\n", opts.traceFmt, opts.traceOut)
 		}
 	}
 	if opts.functional {

@@ -7,7 +7,11 @@
 // Context Memory for the next cluster, provided the CM has room for both
 // clusters' contexts at once. The context scheduler verifies that
 // double-buffering condition and classifies each visit's context traffic
-// as overlapped or exposed, using the same timing model as internal/sim.
+// as overlapped or exposed. Its walk is a store-free estimate of
+// internal/sim's machine model: context and data loads share the DMA
+// channel and compute waits for them, but stores never occupy the
+// channel, so wherever stores contend for it this DMA horizon runs ahead
+// of the simulator's.
 package csched
 
 import (

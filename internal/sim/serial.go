@@ -10,47 +10,17 @@ import (
 // RunSerial simulates the schedule WITHOUT the double-buffered overlap: a
 // machine with a single Frame Buffer set (or a naive runtime) must finish
 // each visit's loads before computing and drain its stores afterwards,
-// with nothing concurrent. The gap between RunSerial and Run quantifies
-// what M1's two FB sets buy; the overlap ablation benchmark reports it.
+// with nothing concurrent. It is the static walk with every visit folded
+// onto one FB set, so StallCycles counts all the transfer time the RC
+// array waits through. The gap between RunSerial and Run quantifies what
+// M1's two FB sets buy; the overlap ablation benchmark reports it.
 func RunSerial(s *core.Schedule) (*Result, error) {
-	if s == nil {
-		return nil, fmt.Errorf("sim: nil schedule")
-	}
-	p := s.Arch
-	if err := p.Validate(); err != nil {
+	if err := checkSchedule(s); err != nil {
 		return nil, err
 	}
-	res := &Result{
-		VisitStart: make([]int, len(s.Visits)),
-		VisitEnd:   make([]int, len(s.Visits)),
-	}
-	now := 0
-	for vi := range s.Visits {
-		v := &s.Visits[vi]
-		ctx := p.ContextCycles(v.CtxWords)
-		res.CtxCycles += ctx
-		res.CtxWords += v.CtxWords
-		now += ctx
-		for _, m := range v.Loads {
-			c := p.DataCycles(m.Bytes)
-			res.DataCycles += c
-			res.LoadBytes += m.Bytes
-			now += c
-		}
-		res.StallCycles += ctx // everything before compute is exposed
-		res.VisitStart[vi] = now
-		now += v.ComputeCycles
-		res.ComputeCycles += v.ComputeCycles
-		res.VisitEnd[vi] = now
-		for _, m := range v.Stores {
-			c := p.DataCycles(m.Bytes)
-			res.DataCycles += c
-			res.StoreBytes += m.Bytes
-			now += c
-		}
-	}
-	res.TotalCycles = now
-	return res, nil
+	l := newLane(s)
+	l.oneSet = true
+	return walkOne(l, static, nil), nil
 }
 
 // OverlapGain returns the percentage of execution time the double-buffered

@@ -11,14 +11,25 @@
 //     and its FB set cannot be refilled for a later visit until those
 //     stores drain.
 //
-// The simulator consumes a core.Schedule and reports the total execution
-// time plus a traffic/stall breakdown. Overlap is emergent: transfers that
-// fit inside the previous visit's compute window cost no wall-clock time.
+// One walk implements that model (walk.go). It takes two parameters:
+//
+//   - the issue policy — when a visit's transfers may issue: static (as
+//     soon as the channel frees; Run), online (only after the previous
+//     visit computed; RunStream) or prefetch (online, but hoisted under
+//     the previous compute where FB and CM residency permit; RunStream
+//     with Prefetch);
+//   - the lanes and their slice order — which visits share the machine:
+//     one schedule, K tenant schedules on disjoint FB quotas interleaved
+//     slice by slice (RunTenants), or one schedule folded onto a single
+//     FB set (RunSerial).
+//
+// Every entry point reports the total execution time plus a
+// traffic/stall breakdown, and the traced variants record the same walk
+// into a trace.Recorder. Overlap is emergent: transfers that fit inside
+// the previous visit's compute window cost no wall-clock time.
 package sim
 
 import (
-	"fmt"
-
 	"cds/internal/core"
 	"cds/internal/trace"
 )
@@ -53,35 +64,28 @@ type Result struct {
 // DMABusy returns the total DMA channel busy time.
 func (r *Result) DMABusy() int { return r.DataCycles + r.CtxCycles }
 
-// Run simulates the schedule and returns the timing result.
-//
-// The model keeps two timelines: the RC array (compute) and the DMA
-// channel. For each visit v in order:
-//
-//  1. the stores of the previous visit on v's FB set are drained first
-//     (they must complete before the set is refilled);
-//  2. v's context and data loads occupy the DMA;
-//  3. v computes when both its loads are done and the RC array is free.
-//
-// Trailing stores after the last visit are drained at the end.
+// Run simulates the schedule on the static machine — every transfer
+// issues as soon as the DMA channel frees — and returns the timing
+// result.
 func Run(s *core.Schedule) (*Result, error) {
-	return run(s, nil)
+	return RunTraced(s, nil)
 }
 
-// RunTraced simulates the schedule while recording every DMA transfer,
-// compute interval and FB set switch into rec as cycle-stamped spans.
-// It is the same walk as Run — a nil recorder short-circuits every
-// recording call — so traced and untraced results are identical by
-// construction.
+// RunTraced is Run recording every DMA transfer, compute interval and FB
+// set switch into rec as cycle-stamped spans. A nil recorder records
+// nothing, so traced and untraced results are identical by construction.
 func RunTraced(s *core.Schedule, rec *trace.Recorder) (*Result, error) {
-	return run(s, rec)
+	if err := checkSchedule(s); err != nil {
+		return nil, err
+	}
+	return walkOne(newLane(s), static, rec), nil
 }
 
 // Trace simulates the schedule and returns both the result and the
 // recorded timeline, labeled by the schedule's scheduler name.
 func Trace(s *core.Schedule) (*Result, *trace.Timeline, error) {
 	rec := trace.NewRecorder()
-	r, err := run(s, rec)
+	r, err := RunTraced(s, rec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -90,148 +94,6 @@ func Trace(s *core.Schedule) (*Result, *trace.Timeline, error) {
 		label = s.Scheduler
 	}
 	return r, rec.Timeline(label, r.TotalCycles), nil
-}
-
-// run is the single simulation walk behind Run and RunTraced.
-func run(s *core.Schedule, rec *trace.Recorder) (*Result, error) {
-	if s == nil {
-		return nil, fmt.Errorf("sim: nil schedule")
-	}
-	p := s.Arch
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	res := &Result{
-		VisitStart: make([]int, len(s.Visits)),
-		VisitEnd:   make([]int, len(s.Visits)),
-	}
-
-	// pendingStore[set] is the index of the visit on that FB set whose
-	// stores have not been issued yet (-1 when none).
-	pendingStore := map[int]int{}
-	for _, v := range s.Visits {
-		pendingStore[v.Set] = -1
-	}
-
-	dmaFree := 0 // next cycle the DMA channel is available
-	rcFree := 0  // next cycle the RC array is available
-	computeEnd := make([]int, len(s.Visits))
-
-	// drainStores issues visit vi's stores on the DMA, no earlier than
-	// the visit's compute end, one span per movement.
-	drainStores := func(vi int) {
-		v := &s.Visits[vi]
-		start := dmaFree
-		if computeEnd[vi] > start {
-			start = computeEnd[vi]
-		}
-		for _, m := range v.Stores {
-			cost := p.DataCycles(m.Bytes)
-			rec.Span(trace.Span{
-				Resource: trace.DMA, Kind: trace.KindStore, Name: m.Datum,
-				Start: start, End: start + cost,
-				Cluster: v.Cluster, Block: v.Block, Visit: vi, Set: v.Set,
-				Bytes: m.Bytes,
-			})
-			start += cost
-			res.DataCycles += cost
-			res.StoreBytes += m.Bytes
-		}
-		dmaFree = start
-	}
-
-	prevSet := -1
-	for vi := range s.Visits {
-		v := &s.Visits[vi]
-
-		// Drain the pending stores of the previous visit on this
-		// set: they cannot start before that visit's compute ends,
-		// and they must finish before this visit's loads overwrite
-		// the set.
-		if prev := pendingStore[v.Set]; prev >= 0 {
-			drainStores(prev)
-		}
-
-		// Context loads (one CM load burst), then data loads.
-		ctxCost := p.ContextCycles(v.CtxWords)
-		rec.Span(trace.Span{
-			Resource: trace.DMA, Kind: trace.KindContext,
-			Start: dmaFree, End: dmaFree + ctxCost,
-			Cluster: v.Cluster, Block: v.Block, Visit: vi, Set: v.Set,
-			Words: v.CtxWords,
-		})
-		res.CtxCycles += ctxCost
-		res.CtxWords += v.CtxWords
-		dmaFree += ctxCost
-		for _, m := range v.Loads {
-			cost := p.DataCycles(m.Bytes)
-			rec.Span(trace.Span{
-				Resource: trace.DMA, Kind: trace.KindLoad, Name: m.Datum,
-				Start: dmaFree, End: dmaFree + cost,
-				Cluster: v.Cluster, Block: v.Block, Visit: vi, Set: v.Set,
-				Bytes: m.Bytes,
-			})
-			dmaFree += cost
-			res.DataCycles += cost
-			res.LoadBytes += m.Bytes
-		}
-		transfersDone := dmaFree
-
-		// Compute.
-		start := transfersDone
-		if rcFree > start {
-			start = rcFree
-		}
-		res.StallCycles += start - rcFree
-		res.VisitStart[vi] = start
-		computeEnd[vi] = start + v.ComputeCycles
-		res.VisitEnd[vi] = computeEnd[vi]
-		res.ComputeCycles += v.ComputeCycles
-		rcFree = computeEnd[vi]
-		rec.Span(trace.Span{
-			Resource: trace.RCArray, Kind: trace.KindCompute,
-			Start: start, End: computeEnd[vi],
-			Cluster: v.Cluster, Block: v.Block, Visit: vi, Set: v.Set,
-		})
-		if vi > 0 && v.Set != prevSet {
-			rec.Mark(trace.Mark{
-				Kind: trace.MarkFBSwitch, Cycle: start, Visit: vi,
-				Name: fmt.Sprintf("set %d -> %d", prevSet, v.Set),
-			})
-		}
-		prevSet = v.Set
-
-		pendingStore[v.Set] = vi
-	}
-
-	// Drain trailing stores.
-	for _, vi := range sortedPending(pendingStore) {
-		drainStores(vi)
-	}
-
-	res.TotalCycles = rcFree
-	if dmaFree > res.TotalCycles {
-		res.TotalCycles = dmaFree
-	}
-	return res, nil
-}
-
-func sortedPending(pending map[int]int) []int {
-	var vis []int
-	for _, vi := range pending {
-		if vi >= 0 {
-			vis = append(vis, vi)
-		}
-	}
-	// Store older visits first.
-	for i := 0; i < len(vis); i++ {
-		for j := i + 1; j < len(vis); j++ {
-			if vis[j] < vis[i] {
-				vis[i], vis[j] = vis[j], vis[i]
-			}
-		}
-	}
-	return vis
 }
 
 // Improvement returns the paper's metric: the relative execution-time

@@ -1,9 +1,9 @@
 package sim
 
-// The streaming execution model. The static walk in run() models the
-// offline machine: every visit's transfers are known up front, so the
-// DMA issues them as soon as the channel frees — overlap with the
-// previous visit's compute is emergent and unconditional.
+// The streaming execution model. The static policy models the offline
+// machine: every visit's transfers are known up front, so the DMA issues
+// them as soon as the channel frees — overlap with the previous visit's
+// compute is emergent and unconditional.
 //
 // An online executor does not have that luxury. Work arrives as a
 // stream (each visit carries a Ready cycle — its segment's arrival
@@ -23,10 +23,12 @@ package sim
 //     (v.CtxWords + GroupWords(v-1) <= CMWords).
 //
 // When either condition fails the executor falls back to the serialized
-// baseline for that visit. Hoisted context bursts are recorded as
-// trace.KindPrefetch spans; internal/verify's "prefetch" invariant
-// family checks the residency conditions and the single-channel DMA
-// serialization over the recorded timeline.
+// baseline for that visit. The baseline and prefetch are the online and
+// prefetch issue policies of the one walk; everything else is the static
+// machine. Hoisted context bursts are recorded as trace.KindPrefetch
+// spans; internal/verify's "prefetch" invariant family checks the
+// residency conditions and the single-channel DMA serialization over the
+// recorded timeline.
 
 import (
 	"fmt"
@@ -61,32 +63,37 @@ type StreamOpts struct {
 	Prefetch bool
 }
 
-// visit returns the streaming inputs of visit vi.
-func (o *StreamOpts) visit(vi int) StreamVisit {
-	if o.Visits == nil {
-		return StreamVisit{}
-	}
-	return o.Visits[vi]
-}
-
 // RunStream simulates the schedule under the online streaming model and
 // returns the timing result (PrefetchCycles/PrefetchCount report the
 // hoisted context traffic).
 func RunStream(s *core.Schedule, o StreamOpts) (*Result, error) {
-	return runStream(s, nil, o)
+	return RunStreamTraced(s, nil, o)
 }
 
 // RunStreamTraced is RunStream recording every span into rec — the same
 // walk, so traced and untraced results are identical by construction.
 func RunStreamTraced(s *core.Schedule, rec *trace.Recorder, o StreamOpts) (*Result, error) {
-	return runStream(s, rec, o)
+	if err := checkSchedule(s); err != nil {
+		return nil, err
+	}
+	if o.Visits != nil && len(o.Visits) != len(s.Visits) {
+		return nil, fmt.Errorf("sim: stream opts carry %d visits, schedule has %d",
+			len(o.Visits), len(s.Visits))
+	}
+	l := newLane(s)
+	l.stream = o.Visits
+	pol := online
+	if o.Prefetch {
+		pol = prefetch
+	}
+	return walkOne(l, pol, rec), nil
 }
 
 // TraceStream simulates the schedule under the streaming model and
 // returns both the result and the recorded timeline.
 func TraceStream(s *core.Schedule, label string, o StreamOpts) (*Result, *trace.Timeline, error) {
 	rec := trace.NewRecorder()
-	r, err := runStream(s, rec, o)
+	r, err := RunStreamTraced(s, rec, o)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -97,153 +104,4 @@ func TraceStream(s *core.Schedule, label string, o StreamOpts) (*Result, *trace.
 		}
 	}
 	return r, rec.Timeline(label, r.TotalCycles), nil
-}
-
-// runStream is the single streaming walk behind RunStream and
-// RunStreamTraced. It mirrors run()'s store-drain and compute logic; the
-// difference is confined to when a visit's context and data loads may
-// start (see the package comment on the model).
-func runStream(s *core.Schedule, rec *trace.Recorder, o StreamOpts) (*Result, error) {
-	if s == nil {
-		return nil, fmt.Errorf("sim: nil schedule")
-	}
-	p := s.Arch
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if o.Visits != nil && len(o.Visits) != len(s.Visits) {
-		return nil, fmt.Errorf("sim: stream opts carry %d visits, schedule has %d",
-			len(o.Visits), len(s.Visits))
-	}
-	res := &Result{
-		VisitStart: make([]int, len(s.Visits)),
-		VisitEnd:   make([]int, len(s.Visits)),
-	}
-
-	pendingStore := map[int]int{}
-	for _, v := range s.Visits {
-		pendingStore[v.Set] = -1
-	}
-
-	dmaFree := 0
-	rcFree := 0
-	computeEnd := make([]int, len(s.Visits))
-
-	drainStores := func(vi int) {
-		v := &s.Visits[vi]
-		start := dmaFree
-		if computeEnd[vi] > start {
-			start = computeEnd[vi]
-		}
-		for _, m := range v.Stores {
-			cost := p.DataCycles(m.Bytes)
-			rec.Span(trace.Span{
-				Resource: trace.DMA, Kind: trace.KindStore, Name: m.Datum,
-				Start: start, End: start + cost,
-				Cluster: v.Cluster, Block: v.Block, Visit: vi, Set: v.Set,
-				Bytes: m.Bytes,
-			})
-			start += cost
-			res.DataCycles += cost
-			res.StoreBytes += m.Bytes
-		}
-		dmaFree = start
-	}
-
-	prevSet := -1
-	for vi := range s.Visits {
-		v := &s.Visits[vi]
-
-		if prev := pendingStore[v.Set]; prev >= 0 {
-			drainStores(prev)
-		}
-
-		// The earliest the visit's loads could possibly issue: channel
-		// free and the visit's work arrived.
-		issue := dmaFree
-		if r := o.visit(vi).Ready; r > issue {
-			issue = r
-		}
-		// The online barrier: the naive executor issues visit vi's
-		// transfers only after visit vi-1's compute completes. Prefetch
-		// lifts the barrier when both residency conditions hold.
-		hoist := vi == 0
-		if vi > 0 && o.Prefetch {
-			pv := &s.Visits[vi-1]
-			fbOK := v.Set != pv.Set
-			cmOK := v.CtxWords+o.visit(vi-1).GroupWords <= p.CMWords
-			hoist = fbOK && cmOK
-		}
-		if !hoist && vi > 0 && computeEnd[vi-1] > issue {
-			issue = computeEnd[vi-1]
-		}
-		prefetched := hoist && vi > 0 && issue < computeEnd[vi-1]
-
-		// Context loads (one CM burst), then data loads, serialized on
-		// the single channel.
-		ctxCost := p.ContextCycles(v.CtxWords)
-		kind := trace.KindContext
-		if prefetched && ctxCost > 0 {
-			kind = trace.KindPrefetch
-			res.PrefetchCycles += ctxCost
-			res.PrefetchCount++
-		}
-		rec.Span(trace.Span{
-			Resource: trace.DMA, Kind: kind,
-			Start: issue, End: issue + ctxCost,
-			Cluster: v.Cluster, Block: v.Block, Visit: vi, Set: v.Set,
-			Words: v.CtxWords,
-		})
-		res.CtxCycles += ctxCost
-		res.CtxWords += v.CtxWords
-		dmaFree = issue + ctxCost
-		for _, m := range v.Loads {
-			cost := p.DataCycles(m.Bytes)
-			rec.Span(trace.Span{
-				Resource: trace.DMA, Kind: trace.KindLoad, Name: m.Datum,
-				Start: dmaFree, End: dmaFree + cost,
-				Cluster: v.Cluster, Block: v.Block, Visit: vi, Set: v.Set,
-				Bytes: m.Bytes,
-			})
-			dmaFree += cost
-			res.DataCycles += cost
-			res.LoadBytes += m.Bytes
-		}
-		transfersDone := dmaFree
-
-		start := transfersDone
-		if rcFree > start {
-			start = rcFree
-		}
-		res.StallCycles += start - rcFree
-		res.VisitStart[vi] = start
-		computeEnd[vi] = start + v.ComputeCycles
-		res.VisitEnd[vi] = computeEnd[vi]
-		res.ComputeCycles += v.ComputeCycles
-		rcFree = computeEnd[vi]
-		rec.Span(trace.Span{
-			Resource: trace.RCArray, Kind: trace.KindCompute,
-			Start: start, End: computeEnd[vi],
-			Cluster: v.Cluster, Block: v.Block, Visit: vi, Set: v.Set,
-		})
-		if vi > 0 && v.Set != prevSet {
-			rec.Mark(trace.Mark{
-				Kind: trace.MarkFBSwitch, Cycle: start, Visit: vi,
-				Name: fmt.Sprintf("set %d -> %d", prevSet, v.Set),
-			})
-		}
-		prevSet = v.Set
-
-		pendingStore[v.Set] = vi
-	}
-
-	for _, vi := range sortedPending(pendingStore) {
-		drainStores(vi)
-	}
-
-	res.TotalCycles = rcFree
-	if dmaFree > res.TotalCycles {
-		res.TotalCycles = dmaFree
-	}
-	return res, nil
 }

@@ -4,9 +4,9 @@ package sim
 // by K independent schedules. The tenant layer (internal/tenant) computes
 // each application's schedule against a quota-restricted machine view and
 // stitches the per-tenant cluster runs into one global emission order;
-// RunTenants executes that order under exactly the single-array model of
-// run(): the FB sets of DIFFERENT tenants are disjoint quota partitions,
-// so only the RC array and the DMA channel are contended, and a tenant's
+// RunTenants executes that order on the one walk, one lane per tenant:
+// the FB sets of DIFFERENT tenants are disjoint quota partitions, so
+// only the RC array and the DMA channel are contended, and a tenant's
 // own visit sequence keeps the same dependency structure it has solo.
 
 import (
@@ -79,13 +79,11 @@ func VisitCost(p arch.Params, v *core.Visit) int {
 // becomes available — none of its DMA transfers may issue earlier (nil
 // means every lane is present at cycle 0).
 //
-// The walk generalizes run(): pending stores are tracked per (lane, FB
-// set) — tenant quotas partition the Frame Buffer spatially, so one
-// tenant's refill never waits on another tenant's stores — while the DMA
-// channel and the RC array are single shared timelines. Within a lane
-// the visit semantics are exactly the solo semantics: stores drain
-// before the set refills, context then data loads serialize on the DMA,
-// compute starts when both its transfers and the array are free.
+// Pending stores are tracked per (lane, FB set) — tenant quotas
+// partition the Frame Buffer spatially, so one tenant's refill never
+// waits on another tenant's stores — while the DMA channel and the RC
+// array are single shared timelines. Within a lane the visit semantics
+// are exactly the solo semantics of Run.
 func RunTenants(scheds []*core.Schedule, arrive []int, order []TenantSlice) (*TenantResult, error) {
 	if len(scheds) == 0 {
 		return nil, fmt.Errorf("sim: no tenant schedules")
@@ -135,6 +133,11 @@ func RunTenants(scheds []*core.Schedule, arrive []int, order []TenantSlice) (*Te
 		}
 	}
 
+	lanes := make([]lane, len(scheds))
+	for i, s := range scheds {
+		lanes[i] = newLane(s)
+		lanes[i].arrive = arrive[i]
+	}
 	res := &TenantResult{
 		LaneVisitStart: make([][]int, len(scheds)),
 		LaneVisitEnd:   make([][]int, len(scheds)),
@@ -144,120 +147,24 @@ func RunTenants(scheds []*core.Schedule, arrive []int, order []TenantSlice) (*Te
 		SliceStart:     make([]int, len(order)),
 		SliceEnd:       make([]int, len(order)),
 	}
-	computeEnd := make([][]int, len(scheds))
-	for i, s := range scheds {
-		res.LaneVisitStart[i] = make([]int, len(s.Visits))
-		res.LaneVisitEnd[i] = make([]int, len(s.Visits))
-		computeEnd[i] = make([]int, len(s.Visits))
+	res.TotalCycles = walk(lanes, order, static, nil, res.SliceStart)
+	for i := range lanes {
+		l := &lanes[i]
+		r := &l.res
+		res.ComputeCycles += r.ComputeCycles
+		res.DataCycles += r.DataCycles
+		res.CtxCycles += r.CtxCycles
+		res.StallCycles += r.StallCycles
+		res.LaneVisitStart[i] = r.VisitStart
+		res.LaneVisitEnd[i] = r.VisitEnd
+		if n := len(r.VisitEnd); n > 0 {
+			res.LaneEnd[i] = r.VisitEnd[n-1]
+		}
+		res.LaneDone[i] = l.done
+		res.LaneCompute[i] = r.ComputeCycles
 	}
-
-	type setKey struct{ lane, set int }
-	// pendingStore[(lane,set)] is the visit on that lane's FB set whose
-	// stores have not been issued yet (-1 when none).
-	pendingStore := map[setKey]int{}
-	for li, s := range scheds {
-		for _, v := range s.Visits {
-			pendingStore[setKey{li, v.Set}] = -1
-		}
-	}
-
-	dmaFree := 0 // next cycle the shared DMA channel is available
-	rcFree := 0  // next cycle the shared RC array is available
-
-	// drainStores issues lane li's visit vi's stores on the shared DMA,
-	// no earlier than the visit's compute end.
-	drainStores := func(li, vi int) {
-		s := scheds[li]
-		v := &s.Visits[vi]
-		start := dmaFree
-		if computeEnd[li][vi] > start {
-			start = computeEnd[li][vi]
-		}
-		for _, m := range v.Stores {
-			cost := s.Arch.DataCycles(m.Bytes)
-			start += cost
-			res.DataCycles += cost
-		}
-		dmaFree = start
-		if start > res.LaneDone[li] {
-			res.LaneDone[li] = start
-		}
-	}
-
 	for si, sl := range order {
-		s := scheds[sl.Lane]
-		first := true
-		for vi := sl.First; vi < sl.First+sl.N; vi++ {
-			v := &s.Visits[vi]
-
-			// A lane's transfers never issue before its arrival: the DMA
-			// sits idle (or serves other lanes' later slices) until then.
-			if dmaFree < arrive[sl.Lane] {
-				dmaFree = arrive[sl.Lane]
-			}
-			if prev := pendingStore[setKey{sl.Lane, v.Set}]; prev >= 0 {
-				drainStores(sl.Lane, prev)
-			}
-			if first {
-				res.SliceStart[si] = dmaFree
-				first = false
-			}
-
-			ctxCost := s.Arch.ContextCycles(v.CtxWords)
-			res.CtxCycles += ctxCost
-			dmaFree += ctxCost
-			for _, m := range v.Loads {
-				cost := s.Arch.DataCycles(m.Bytes)
-				dmaFree += cost
-				res.DataCycles += cost
-			}
-			transfersDone := dmaFree
-
-			start := transfersDone
-			if rcFree > start {
-				start = rcFree
-			}
-			res.StallCycles += start - rcFree
-			res.LaneVisitStart[sl.Lane][vi] = start
-			computeEnd[sl.Lane][vi] = start + v.ComputeCycles
-			res.LaneVisitEnd[sl.Lane][vi] = computeEnd[sl.Lane][vi]
-			res.ComputeCycles += v.ComputeCycles
-			res.LaneCompute[sl.Lane] += v.ComputeCycles
-			rcFree = computeEnd[sl.Lane][vi]
-			res.LaneEnd[sl.Lane] = computeEnd[sl.Lane][vi]
-			if computeEnd[sl.Lane][vi] > res.LaneDone[sl.Lane] {
-				res.LaneDone[sl.Lane] = computeEnd[sl.Lane][vi]
-			}
-
-			pendingStore[setKey{sl.Lane, v.Set}] = vi
-		}
-		res.SliceEnd[si] = rcFree
-	}
-
-	// Drain trailing stores, oldest compute first across all lanes for a
-	// deterministic DMA order.
-	type tail struct{ lane, vi, end int }
-	var tails []tail
-	for k, vi := range pendingStore {
-		if vi >= 0 {
-			tails = append(tails, tail{k.lane, vi, computeEnd[k.lane][vi]})
-		}
-	}
-	for i := 0; i < len(tails); i++ {
-		for j := i + 1; j < len(tails); j++ {
-			ti, tj := tails[i], tails[j]
-			if tj.end < ti.end || (tj.end == ti.end && (tj.lane < ti.lane || (tj.lane == ti.lane && tj.vi < ti.vi))) {
-				tails[i], tails[j] = tails[j], tails[i]
-			}
-		}
-	}
-	for _, t := range tails {
-		drainStores(t.lane, t.vi)
-	}
-
-	res.TotalCycles = rcFree
-	if dmaFree > res.TotalCycles {
-		res.TotalCycles = dmaFree
+		res.SliceEnd[si] = res.LaneVisitEnd[sl.Lane][sl.First+sl.N-1]
 	}
 	return res, nil
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cds/internal/core"
@@ -145,6 +147,64 @@ func TestTraceMarksFBSwitches(t *testing.T) {
 	}
 }
 
+// TestChromeExportMatchesResult parses the Chrome export of a recorded
+// timeline back and checks its compute, DMA and makespan sums against
+// the simulator's accounting.
+func TestChromeExportMatchesResult(t *testing.T) {
+	e := workloads.MPEG()
+	s, err := (core.CompleteDataScheduler{}).Schedule(e.Arch, e.Part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, tl, err := Trace(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := trace.WriteChrome(&b, tl); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Cat   string `json:"cat"`
+			Phase string `json:"ph"`
+			TS    int    `json:"ts"`
+			Dur   int    `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	var compute, dma int
+	maxEnd := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Phase != "X" {
+			continue
+		}
+		if ev.TS < 0 || ev.Dur < 0 {
+			t.Fatalf("negative interval: %+v", ev)
+		}
+		switch ev.Cat {
+		case "compute":
+			compute += ev.Dur
+		case "context", "load", "store":
+			dma += ev.Dur
+		}
+		if end := ev.TS + ev.Dur; end > maxEnd {
+			maxEnd = end
+		}
+	}
+	if compute != r.ComputeCycles {
+		t.Errorf("trace compute %d != result %d", compute, r.ComputeCycles)
+	}
+	if dma != r.DMABusy() {
+		t.Errorf("trace DMA %d != result %d", dma, r.DMABusy())
+	}
+	if maxEnd != r.TotalCycles {
+		t.Errorf("trace ends at %d, result says %d", maxEnd, r.TotalCycles)
+	}
+}
+
 func TestTraceErrors(t *testing.T) {
 	if _, _, err := Trace(nil); err == nil {
 		t.Error("nil schedule accepted")
@@ -153,6 +213,25 @@ func TestTraceErrors(t *testing.T) {
 	s.Arch.BusBytes = 0
 	if _, _, err := Trace(s); err == nil {
 		t.Error("invalid arch accepted")
+	}
+}
+
+// TestRunAllocs pins the "nil recorder costs nothing" claim: untraced
+// Run on the MPEG CDS schedule allocates only its result and its two
+// per-visit interval slices, never per visit or per span.
+func TestRunAllocs(t *testing.T) {
+	e := workloads.MPEG()
+	s, err := (core.CompleteDataScheduler{}).Schedule(e.Arch, e.Part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Run(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Errorf("Run makes %.0f allocations, want <= 6", allocs)
 	}
 }
 

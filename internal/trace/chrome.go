@@ -91,8 +91,8 @@ func spanEvent(s Span, pid, tid int) ChromeEvent {
 	return ev
 }
 
-// chromeName renders a span's display name the way the legacy
-// sim.WriteTrace exporter did, so existing trace consumers keep working.
+// chromeName renders a span's display name: the cluster and block for
+// compute and context bursts, plus the datum for loads and stores.
 func chromeName(s Span) string {
 	switch s.Kind {
 	case KindCompute:
