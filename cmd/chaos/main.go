@@ -60,11 +60,12 @@ import (
 	"os"
 
 	"cds/internal/chaos"
+	"cds/internal/daemon"
 )
 
 func main() {
 	// A re-executed child IS the daemon; this never returns for one.
-	chaos.MaybeChild()
+	daemon.MaybeChild()
 
 	seed := flag.Int64("seed", 1, "fault-schedule seed; (seed, plan) reproduces a run exactly")
 	plan := flag.String("plan", "kill-resume", `plan name or "all"`)

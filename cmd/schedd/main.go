@@ -62,5 +62,5 @@ import (
 )
 
 func main() {
-	os.Exit(daemon.Main(os.Args[1:], os.Stderr))
+	os.Exit(daemon.Schedd(os.Args[1:], os.Stderr))
 }

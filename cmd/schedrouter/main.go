@@ -31,9 +31,9 @@ package main
 import (
 	"os"
 
-	"cds/internal/cluster"
+	"cds/internal/daemon"
 )
 
 func main() {
-	os.Exit(cluster.Main(os.Args[1:], os.Stderr))
+	os.Exit(daemon.Schedrouter(os.Args[1:], os.Stderr))
 }

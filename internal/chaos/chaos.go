@@ -26,7 +26,7 @@ type Config struct {
 	// Plan is a scenario name from PlanNames.
 	Plan string
 	// SchedCmd is the schedd binary to supervise; empty re-executes the
-	// current binary through MaybeChild.
+	// current binary through daemon.MaybeChild.
 	SchedCmd string
 	// Dir is the scratch directory (journals); empty creates a temp dir
 	// that is removed when the run passes and kept when it fails.
@@ -641,9 +641,7 @@ func (r *runner) breaker(ctx context.Context, p Plan) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chaos: breaker probe: %w", err)
 		}
-		var env struct {
-			Class string `json:"class"`
-		}
+		var env serve.ErrorBody
 		json.Unmarshal(body, &env)
 		probes = append(probes, ProbeEvent{T: time.Since(start), Status: status, Class: env.Class})
 		if env.Class == "circuit_open" {

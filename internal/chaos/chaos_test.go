@@ -12,18 +12,19 @@ import (
 	"testing"
 	"time"
 
+	"cds/internal/daemon"
 	"cds/internal/schedclient"
 	"cds/internal/serve"
 	"cds/internal/sweep"
 )
 
-// TestMain makes this test binary double as the schedd daemon: when the
-// supervisor re-executes it with daemon.ChildEnv set, MaybeChild runs
-// the real daemon and never returns. That is what lets the scenario
-// tests below supervise genuine child processes without building
-// cmd/schedd first.
+// TestMain makes this test binary double as schedd and schedrouter:
+// when the supervisor re-executes it with daemon.ChildEnv set,
+// daemon.MaybeChild runs the real program and never returns. That is
+// what lets the scenario tests below supervise genuine child processes
+// without building cmd/schedd or cmd/schedrouter first.
 func TestMain(m *testing.M) {
-	MaybeChild()
+	daemon.MaybeChild()
 	os.Exit(m.Run())
 }
 

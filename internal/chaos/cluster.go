@@ -96,14 +96,14 @@ func (r *runner) startFleet(ctx context.Context, p Plan, workerExtra []string) (
 		fl.workers = append(fl.workers, c)
 	}
 
-	// The router always re-executes the current binary (cluster.ChildEnv
-	// → cluster.Main), even when -schedd points workers at an external
+	// The router always re-executes the current binary (daemon.ChildEnv
+	// = schedrouter), even when -schedd points workers at an external
 	// daemon build.
 	raddr, err := FreeAddr()
 	if err != nil {
 		return nil, err
 	}
-	rsup := &Supervisor{ChildEnvVar: cluster.ChildEnv, Logf: r.logf}
+	rsup := &Supervisor{Program: "schedrouter", Logf: r.logf}
 	rc, err := rsup.Start(raddr,
 		"-workers", fl.peers,
 		"-probe-interval", "25ms",

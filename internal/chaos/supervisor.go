@@ -12,24 +12,8 @@ import (
 	"syscall"
 	"time"
 
-	"cds/internal/cluster"
 	"cds/internal/daemon"
 )
-
-// MaybeChild dispatches to the real schedd daemon (daemon.ChildEnv set)
-// or the real schedrouter (cluster.ChildEnv set) when this process was
-// re-executed as a supervised child. Binaries that embed the harness —
-// cmd/chaos, and the chaos package's test binary via TestMain — must
-// call it before doing anything else; it does not return in a child.
-func MaybeChild() {
-	if os.Getenv(cluster.ChildEnv) != "" {
-		os.Exit(cluster.Main(os.Args[1:], os.Stderr))
-	}
-	if os.Getenv(daemon.ChildEnv) == "" {
-		return
-	}
-	os.Exit(daemon.Main(os.Args[1:], os.Stderr))
-}
 
 // FreeAddr reserves a loopback TCP address for a child to bind. The
 // port is released before the child starts, so a reuse race is
@@ -61,14 +45,15 @@ type Child struct {
 
 // Supervisor launches schedd children. SchedCmd is the daemon binary;
 // empty means re-execute the current binary (os.Args[0]) with
-// ChildEnvVar set, which runs the identical process through MaybeChild.
+// daemon.ChildEnv set to Program, which runs the identical process
+// through daemon.MaybeChild.
 type Supervisor struct {
 	SchedCmd string
-	// ChildEnvVar selects what a re-executed child becomes:
-	// daemon.ChildEnv (the default) runs schedd, cluster.ChildEnv runs
-	// schedrouter. Ignored when SchedCmd names an external binary.
-	ChildEnvVar string
-	Logf        func(format string, args ...any)
+	// Program names what a re-executed child runs: "schedd" (the
+	// default) or "schedrouter". Ignored when SchedCmd names an external
+	// binary.
+	Program string
+	Logf    func(format string, args ...any)
 }
 
 // Start launches one schedd child on addr with the extra flags
@@ -82,11 +67,11 @@ func (s *Supervisor) Start(addr string, extra ...string) (*Child, error) {
 	env := os.Environ()
 	if bin == "" {
 		bin = os.Args[0]
-		childVar := s.ChildEnvVar
-		if childVar == "" {
-			childVar = daemon.ChildEnv
+		prog := s.Program
+		if prog == "" {
+			prog = "schedd"
 		}
-		env = append(env, childVar+"=1")
+		env = append(env, daemon.ChildEnv+"="+prog)
 	}
 	args := append([]string{"-addr", addr}, extra...)
 	c := &Child{Addr: addr, logf: logf, exited: make(chan struct{})}

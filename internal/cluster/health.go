@@ -248,6 +248,20 @@ func (f *Fleet) SetMembers(members []Member) (added, removed []string) {
 	return added, removed
 }
 
+// ReloadMembersFile re-reads a members file (LoadMembersFile) and swaps
+// it in with SetMembers — schedrouter's SIGHUP handler. A file that
+// fails to load keeps the current membership: a half-edited file must
+// never empty the fleet.
+func (f *Fleet) ReloadMembersFile(path string) {
+	members, err := LoadMembersFile(path)
+	if err != nil {
+		f.cfg.Logf("cluster: reload %s: %v (keeping %d workers)", path, err, len(f.Members()))
+		return
+	}
+	added, removed := f.SetMembers(members)
+	f.cfg.Logf("cluster: reloaded %s: %d workers (+%d -%d)", path, len(members), len(added), len(removed))
+}
+
 // Stop terminates the probe loops and waits for them.
 func (f *Fleet) Stop() {
 	close(f.stop)

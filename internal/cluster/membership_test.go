@@ -136,8 +136,8 @@ func TestSetMembersProbeLifecycle(t *testing.T) {
 	}
 }
 
-// TestReloadWorkersFile drives the SIGHUP path's function directly: a
-// good file swaps the membership, a bad one keeps it.
+// TestReloadWorkersFile drives the SIGHUP path's Fleet method directly:
+// a good file swaps the membership, a bad one keeps it.
 func TestReloadWorkersFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "workers.txt")
 	write := func(s string) {
@@ -151,17 +151,17 @@ func TestReloadWorkersFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFleet(FleetConfig{Workers: members})
+	f := NewFleet(FleetConfig{Workers: members, Logf: t.Logf})
 
 	write("w1=h1:1\nw2=h2:2\n")
-	reloadWorkers(path, f, t.Logf)
+	f.ReloadMembersFile(path)
 	if got := f.Ring().Members(); !reflect.DeepEqual(got, []string{"w1", "w2"}) {
 		t.Fatalf("after good reload: %v, want [w1 w2]", got)
 	}
 
 	// A half-edited file must not empty the fleet.
 	write("w1=h1:1\nw1=h1:1\n")
-	reloadWorkers(path, f, t.Logf)
+	f.ReloadMembersFile(path)
 	if got := f.Ring().Members(); !reflect.DeepEqual(got, []string{"w1", "w2"}) {
 		t.Fatalf("bad reload changed membership: %v", got)
 	}

@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cds/internal/serve"
 	"cds/internal/spec"
 	"cds/internal/workloads"
 )
@@ -140,7 +141,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		status, state = http.StatusServiceUnavailable, "no_workers"
 		w.Header().Set("Retry-After", "1")
 	}
-	writeRouterJSON(w, status, map[string]any{
+	serve.WriteJSON(w, status, map[string]any{
 		"status":   state,
 		"eligible": snap.Eligible,
 		"workers":  len(snap.Workers),
@@ -148,7 +149,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleRing(w http.ResponseWriter, r *http.Request) {
-	writeRouterJSON(w, http.StatusOK, rt.fleet.Snapshot())
+	serve.WriteJSON(w, http.StatusOK, rt.fleet.Snapshot())
 }
 
 // compareRoutingKey resolves a compare request body to its partition
@@ -179,7 +180,7 @@ func compareRoutingKey(body []byte) []byte {
 func (rt *Router) handleCompare(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxForwardBody))
 	if err != nil {
-		writeRouterErr(w, http.StatusBadRequest, "reading request body: "+err.Error(), "invalid_spec")
+		serve.WriteError(w, http.StatusBadRequest, "reading request body: "+err.Error(), "invalid_spec")
 		return
 	}
 	// One idempotency key per request, minted here when the client sent
@@ -194,7 +195,7 @@ func (rt *Router) handleCompare(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxForwardBody))
 	if err != nil {
-		writeRouterErr(w, http.StatusBadRequest, "reading request body: "+err.Error(), "invalid_spec")
+		serve.WriteError(w, http.StatusBadRequest, "reading request body: "+err.Error(), "invalid_spec")
 		return
 	}
 	var req struct {
@@ -213,7 +214,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key, body []by
 	if len(candidates) == 0 {
 		rt.failed.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeRouterErr(w, http.StatusServiceUnavailable, "no workers in the fleet", "no_upstream")
+		serve.WriteError(w, http.StatusServiceUnavailable, "no workers in the fleet", "no_upstream")
 		return
 	}
 	var lastResp *bufferedResponse
@@ -234,7 +235,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key, body []by
 				// attempt dies the same way. Answer best-effort and stop.
 				rt.failed.Add(1)
 				rt.cfg.Logf("cluster: %s %s: client gone during forward to %s (%v)", r.Method, r.URL.Path, id, err)
-				writeRouterErr(w, http.StatusServiceUnavailable, "client canceled while forwarding: "+err.Error(), "canceled")
+				serve.WriteError(w, http.StatusServiceUnavailable, "client canceled while forwarding: "+err.Error(), "canceled")
 				return
 			}
 			// Dead on the wire: count it against the worker and move on.
@@ -263,7 +264,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key, body []by
 		return
 	}
 	w.Header().Set("Retry-After", "1")
-	writeRouterErr(w, http.StatusServiceUnavailable,
+	serve.WriteError(w, http.StatusServiceUnavailable,
 		"no upstream answered: "+strings.Join(transportErrs, "; "), "no_upstream")
 }
 
@@ -340,16 +341,4 @@ func (rt *Router) tryWorker(r *http.Request, addr string, body []byte, idemKey s
 // Stats reports the router's cumulative counters.
 func (rt *Router) Stats() (served, failed, failovers int64) {
 	return rt.served.Load(), rt.failed.Load(), rt.reroute.Load()
-}
-
-func writeRouterJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeRouterErr(w http.ResponseWriter, status int, msg, class string) {
-	writeRouterJSON(w, status, map[string]string{"error": msg, "class": class})
 }

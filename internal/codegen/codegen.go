@@ -56,8 +56,9 @@ type Instr struct {
 	Object, Datum string
 	// Set, Addr, Bytes give the FB target of LDFB/STFB.
 	Set, Addr, Bytes int
-	// ExtAddr is the external-memory address of the transfer (-1 until
-	// AnnotateExternal assigns it).
+	// ExtAddr is the external-memory address of the transfer. Generate
+	// never assigns one, so it is always -1; it survives as the ext=
+	// column of the text format (Marshal/Parse).
 	ExtAddr int
 	// Cluster, Block, Iter locate the instruction in the schedule
 	// (Iter is -1 for pre-visit work).
@@ -292,48 +293,4 @@ func Generate(s *core.Schedule) (*Program, error) {
 
 func instanceName(datum string, iter int) string {
 	return fmt.Sprintf("%s#i%d", datum, iter)
-}
-
-// externalAddresser resolves a (datum, absolute iteration) pair to an
-// external-memory address; internal/extmem.Map implements it.
-type externalAddresser interface {
-	Addr(datum string, absIter int) (int, error)
-}
-
-// AnnotateExternal fills the ExtAddr field of every LDFB/STFB instruction
-// from an external-memory layout. rf is the schedule's reuse factor (the
-// absolute iteration of an instance is block*rf + slot).
-func AnnotateExternal(p *Program, rf int, mem externalAddresser) error {
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		if in.Op != OpLdFB && in.Op != OpStFB {
-			continue
-		}
-		slot, err := parseSlot(in.Object)
-		if err != nil {
-			return err
-		}
-		addr, err := mem.Addr(in.Datum, in.Block*rf+slot)
-		if err != nil {
-			return fmt.Errorf("codegen: annotating %s: %w", in.Object, err)
-		}
-		in.ExtAddr = addr
-	}
-	return nil
-}
-
-// parseSlot extracts the iteration slot from an instance name.
-func parseSlot(inst string) (int, error) {
-	i := strings.LastIndex(inst, "#i")
-	if i < 0 || i+2 >= len(inst) {
-		return 0, fmt.Errorf("codegen: malformed instance name %q", inst)
-	}
-	n := 0
-	for _, c := range inst[i+2:] {
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("codegen: malformed instance name %q", inst)
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, nil
 }

@@ -1,7 +1,6 @@
 package codegen
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -275,70 +274,5 @@ func TestGenerateTiledApp(t *testing.T) {
 	}
 	if _, err := Check(p, s); err != nil {
 		t.Fatalf("streaming-context program failed check: %v", err)
-	}
-}
-
-type fakeMem map[string]int
-
-func (m fakeMem) Addr(datum string, absIter int) (int, error) {
-	base, ok := m[datum]
-	if !ok {
-		return 0, errFakeMem
-	}
-	return base + absIter, nil
-}
-
-var errFakeMem = errors.New("fake: unknown datum")
-
-func TestAnnotateExternalLocal(t *testing.T) {
-	p, s := generate(t, core.DataScheduler{}, 400, 2)
-	mem := fakeMem{}
-	for _, d := range s.P.App.Data {
-		mem[d.Name] = len(mem) * 10000
-	}
-	if err := AnnotateExternal(p, s.RF, mem); err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range p.Instrs {
-		switch in.Op {
-		case OpLdFB, OpStFB:
-			if in.ExtAddr < 0 {
-				t.Fatalf("%v not annotated", in)
-			}
-		default:
-			if in.ExtAddr != -1 {
-				t.Fatalf("%v has spurious ExtAddr", in)
-			}
-		}
-	}
-	// Unknown datum fails.
-	q, _ := generate(t, core.DataScheduler{}, 400, 2)
-	if err := AnnotateExternal(q, 1, fakeMem{}); err == nil {
-		t.Error("unknown datum accepted")
-	}
-	// Malformed instance name fails.
-	r, _ := generate(t, core.DataScheduler{}, 400, 2)
-	for i := range r.Instrs {
-		if r.Instrs[i].Op == OpLdFB {
-			r.Instrs[i].Object = "broken"
-			break
-		}
-	}
-	if err := AnnotateExternal(r, 1, mem); err == nil {
-		t.Error("malformed instance accepted")
-	}
-}
-
-func TestParseSlot(t *testing.T) {
-	if n, err := parseSlot("x#i7"); err != nil || n != 7 {
-		t.Errorf("parseSlot = %d, %v", n, err)
-	}
-	if n, err := parseSlot("a#i12"); err != nil || n != 12 {
-		t.Errorf("parseSlot = %d, %v", n, err)
-	}
-	for _, bad := range []string{"x", "x#i", "x#iq2"} {
-		if _, err := parseSlot(bad); err == nil {
-			t.Errorf("parseSlot(%q) accepted", bad)
-		}
 	}
 }

@@ -1,9 +1,10 @@
-// Package daemon is the schedd process entry point behind cmd/schedd:
-// flag parsing, listener setup, signal handling and graceful drain
-// around an internal/serve Server. It lives here rather than in the cmd
-// package so the chaos harness (internal/chaos, cmd/chaos) can run the
-// REAL daemon — same flags, same drain discipline, same exit statuses —
-// as a re-executed child process without shelling out to go build.
+// Package daemon holds the process entry points behind cmd/schedd and
+// cmd/schedrouter: flag parsing, listener setup, signal handling and
+// graceful drain, one loop for both programs. It lives here rather than
+// in the cmd packages so the chaos harness (internal/chaos, cmd/chaos)
+// can run the REAL programs — same flags, same drain discipline, same
+// exit statuses — as re-executed child processes without shelling out
+// to go build.
 package daemon
 
 import (
@@ -27,17 +28,34 @@ import (
 	"cds/internal/serve"
 )
 
-// ChildEnv is the environment variable that marks a process as a
-// re-executed schedd child: binaries that embed the harness (cmd/chaos,
-// the chaos test binary) call Main when it is set, before doing
-// anything else.
-const ChildEnv = "CHAOS_SCHEDD_CHILD"
+// ChildEnv marks a process as a re-executed child; its value names the
+// program the child runs ("schedd" or "schedrouter"). Binaries that
+// embed the harness (cmd/chaos, the chaos test binary) call MaybeChild
+// before doing anything else.
+const ChildEnv = "CHAOS_CHILD"
 
-// Main runs the schedd daemon with the given argument list (not
+// MaybeChild runs the program ChildEnv names and exits with its status
+// when this process was re-executed as a supervised child; it returns
+// at once when ChildEnv is unset.
+func MaybeChild() {
+	switch name := os.Getenv(ChildEnv); name {
+	case "":
+		return
+	case "schedd":
+		os.Exit(Schedd(os.Args[1:], os.Stderr))
+	case "schedrouter":
+		os.Exit(Schedrouter(os.Args[1:], os.Stderr))
+	default:
+		fmt.Fprintf(os.Stderr, "%s=%q names no program\n", ChildEnv, name)
+		os.Exit(2)
+	}
+}
+
+// Schedd runs the schedd daemon with the given argument list (not
 // including the program name) and returns the process exit status: 0
 // after a clean drain, 1 on any error, 2 on a flag error. stderr
 // receives error reports; logs go through the standard logger.
-func Main(args []string, stderr io.Writer) int {
+func Schedd(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("schedd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "listen address")
@@ -134,37 +152,145 @@ func Main(args []string, stderr io.Writer) int {
 		}()
 	}
 
-	if err := run(*addr, cfg, *drainTimeout); err != nil {
+	if err := run("schedd", *addr, serve.New(cfg), *drainTimeout, nil); err != nil {
 		fmt.Fprintf(stderr, "schedd: %v\n", err)
 		return 1
 	}
 	return 0
 }
 
-func run(addr string, cfg serve.Config, drainTimeout time.Duration) error {
-	srv := serve.New(cfg)
+// Schedrouter runs the fleet router with the given argument list
+// (without the program name) and returns the process exit status: 0
+// after a clean drain, 1 on any error, 2 on a flag error.
+func Schedrouter(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("schedrouter", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8079", "listen address")
+	workers := fs.String("workers", "", "comma-separated fleet members, id=host:port")
+	workersFile := fs.String("workers-file", "", "file with fleet members, one id=host:port per line (# comments); SIGHUP re-reads it")
+	vnodes := fs.Int("vnodes", cluster.DefaultVnodes, "virtual nodes per worker on the hash ring")
+	probeInterval := fs.Duration("probe-interval", 500*time.Millisecond, "mean readyz probe spacing per worker (jittered)")
+	probeTimeout := fs.Duration("probe-timeout", time.Second, "per-probe HTTP deadline")
+	ejectThreshold := fs.Int("eject-threshold", 3, "consecutive probe/forward failures that eject a worker")
+	readmitCooldown := fs.Duration("readmit-cooldown", 2*time.Second, "ejection cooldown before a half-open readmission probe")
+	failover := fs.Int("failover-attempts", 0, "max distinct replicas per request (0 = all candidates)")
+	seed := fs.Int64("seed", 1, "seed for probe jitter (minted idempotency keys carry a per-boot random nonce)")
+	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	var members []cluster.Member
+	var err error
+	switch {
+	case *workers != "" && *workersFile != "":
+		fmt.Fprintln(stderr, "schedrouter: -workers and -workers-file are mutually exclusive")
+		return 2
+	case *workersFile != "":
+		members, err = cluster.LoadMembersFile(*workersFile)
+	case *workers != "":
+		members, err = cluster.ParseMembers(*workers)
+	default:
+		fmt.Fprintln(stderr, "schedrouter: need -workers or -workers-file")
+		return 2
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "schedrouter: %v\n", err)
+		return 2
+	}
+
+	fleet := cluster.NewFleet(cluster.FleetConfig{
+		Workers:         members,
+		Vnodes:          *vnodes,
+		ProbeInterval:   *probeInterval,
+		ProbeTimeout:    *probeTimeout,
+		EjectThreshold:  *ejectThreshold,
+		ReadmitCooldown: *readmitCooldown,
+		Seed:            *seed,
+		Logf:            log.Printf,
+	})
+	rs := &routerService{fleet: fleet, router: cluster.NewRouter(cluster.RouterConfig{
+		Fleet:            fleet,
+		FailoverAttempts: *failover,
+		Logf:             log.Printf,
+	})}
+	rs.http = &http.Server{Handler: rs.router, ReadHeaderTimeout: 5 * time.Second}
+	var reload func()
+	if *workersFile != "" {
+		reload = func() { fleet.ReloadMembersFile(*workersFile) }
+	}
+	if err := run("schedrouter", *addr, rs, *drainTimeout, reload); err != nil {
+		fmt.Fprintf(stderr, "schedrouter: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// routerService fits the fleet router to the entry loop: Serve starts
+// the fleet's probe loops, Drain shuts the listener down and stops them.
+type routerService struct {
+	fleet  *cluster.Fleet
+	router *cluster.Router
+	http   *http.Server
+}
+
+func (rs *routerService) Serve(l net.Listener) error {
+	rs.fleet.Start()
+	log.Printf("schedrouter: listening on %s (%d workers)", l.Addr(), len(rs.fleet.Members()))
+	return rs.http.Serve(l)
+}
+
+func (rs *routerService) Drain(ctx context.Context) error {
+	defer rs.fleet.Stop()
+	if err := rs.http.Shutdown(ctx); err != nil {
+		rs.http.Close()
+		return fmt.Errorf("drain deadline expired: %w", err)
+	}
+	served, failed, failovers := rs.router.Stats()
+	log.Printf("schedrouter: drained cleanly (served=%d failed=%d failovers=%d)", served, failed, failovers)
+	return nil
+}
+
+// run is the entry loop both programs share: listen on addr, serve svc
+// there until SIGTERM or SIGINT, then drain it within drainTimeout. hup,
+// when non-nil, runs on every SIGHUP.
+func run(name, addr string, svc interface {
+	Serve(net.Listener) error
+	Drain(context.Context) error
+}, drainTimeout time.Duration, hup func()) error {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
 
 	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(l) }()
+	go func() { errc <- svc.Serve(l) }()
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
+	hupc := make(chan os.Signal, 1)
+	if hup != nil {
+		signal.Notify(hupc, syscall.SIGHUP)
+		defer signal.Stop(hupc)
+	}
 
-	select {
-	case err := <-errc:
-		return err // listener died before any signal
-	case sig := <-sigc:
-		log.Printf("schedd: %v: draining (deadline %s)", sig, drainTimeout)
+	var sig os.Signal
+wait:
+	for {
+		select {
+		case err := <-errc:
+			return err // listener died before any signal
+		case <-hupc:
+			hup()
+		case sig = <-sigc:
+			break wait
+		}
 	}
 	signal.Stop(sigc) // a second signal kills the process the hard way
+	log.Printf("%s: %v: draining (deadline %s)", name, sig, drainTimeout)
 
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
+	if err := svc.Drain(ctx); err != nil {
 		return err
 	}
 	if err := <-errc; err != nil && err != http.ErrServerClosed {

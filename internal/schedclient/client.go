@@ -324,10 +324,7 @@ func (c *Client) post(ctx context.Context, target, path string, body []byte, ide
 // Retry-After header into an HTTPError.
 func newHTTPError(resp *http.Response, data []byte) error {
 	e := &HTTPError{Status: resp.StatusCode, Msg: string(data)}
-	var envelope struct {
-		Error string `json:"error"`
-		Class string `json:"class"`
-	}
+	var envelope serve.ErrorBody
 	if json.Unmarshal(data, &envelope) == nil && envelope.Class != "" {
 		e.Class, e.Msg = envelope.Class, envelope.Error
 	}

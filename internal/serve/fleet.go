@@ -55,7 +55,7 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 	copy(key[:], raw)
 	cmp, ok := cds.LookupComparisonByKey(key)
 	if !ok {
-		writeJSONError(w, http.StatusNotFound, "no resident comparison for key", "cache_miss")
+		WriteError(w, http.StatusNotFound, "no resident comparison for key", "cache_miss")
 		return
 	}
 	s.cfg.Logf("serve: cache lookup hit for %s", r.PathValue("key")[:8])

@@ -26,7 +26,6 @@ package serve
 import (
 	"bytes"
 	"crypto/sha256"
-	"expvar"
 	"fmt"
 	"net/http"
 	"runtime/debug"
@@ -57,43 +56,6 @@ func (s *Server) withRecover(h http.Handler) http.Handler {
 
 // Panics reports how many handler panics were recovered so far.
 func (s *Server) Panics() int64 { return s.panics.Load() }
-
-// The "schedd_panics" and "schedd_idem_hits" expvars aggregate over the
-// same server registry as "schedd_traces" (see trace.go for why a
-// registry + sync.Once).
-var hardenPublishOnce sync.Once
-
-func registerHardenExpvars() {
-	hardenPublishOnce.Do(func() {
-		expvar.Publish("schedd_panics", expvar.Func(func() any {
-			traceRegistryMu.Lock()
-			defer traceRegistryMu.Unlock()
-			var total int64
-			for _, srv := range traceRegistry {
-				total += srv.panics.Load()
-			}
-			return total
-		}))
-		expvar.Publish("schedd_idem_hits", expvar.Func(func() any {
-			traceRegistryMu.Lock()
-			defer traceRegistryMu.Unlock()
-			var total int64
-			for _, srv := range traceRegistry {
-				total += srv.idemHits.Load()
-			}
-			return total
-		}))
-		expvar.Publish("schedd_idem_collisions", expvar.Func(func() any {
-			traceRegistryMu.Lock()
-			defer traceRegistryMu.Unlock()
-			var total int64
-			for _, srv := range traceRegistry {
-				total += srv.idemCollisions.Load()
-			}
-			return total
-		}))
-	})
-}
 
 // responseRecorder tees a handler's answer so a completed 2xx can be
 // stored for idempotent replay.

@@ -26,7 +26,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	if w.Code != http.StatusInternalServerError {
 		t.Fatalf("panicking handler = %d, want 500: %s", w.Code, w.Body.String())
 	}
-	e := decode[errorBody](t, w)
+	e := decode[ErrorBody](t, w)
 	if e.Class != "internal" {
 		t.Fatalf("class = %q, want internal", e.Class)
 	}
@@ -88,7 +88,7 @@ func TestReadyzSaturation(t *testing.T) {
 	go serveOne() // occupies the single slot
 	<-started
 	go serveOne() // waits in the queue -> saturation
-	for i := 0; i < 500 && s.waiters.Load() == 0; i++ {
+	for i := 0; i < 500 && queued(s) == 0; i++ {
 		time.Sleep(time.Millisecond)
 	}
 

@@ -3,8 +3,9 @@
 // hardened the way a long-lived daemon has to be:
 //
 //   - Admission control: a fixed number of execution slots plus a
-//     bounded wait queue; when the queue is full the request is shed
-//     immediately with 429 and a Retry-After hint instead of piling up.
+//     bounded wait queue (tenantq.go); when the queue is full the
+//     request is shed immediately with 429 and a Retry-After hint
+//     instead of piling up.
 //
 //   - Retry with backoff: every compare call runs under internal/retry,
 //     so a transient DMA fault (scherr.ErrTransient) costs backoff
@@ -49,14 +50,16 @@
 //     evolved log replans only the divergent segments (delta
 //     replanning) and the answer reports the reuse split.
 //
-//   - Multi-tenant admission: with Config.Tenants set (schedd -tenants)
-//     every compare/sweep request names its tenant via the X-Tenant
-//     header, each tenant gets its own bounded admission budget (its
-//     own 429, its own Retry-After sized to the backlog), and free
-//     execution slots are granted across tenants by weighted fair
-//     queueing — the service-level mirror of the array-level tenant
-//     interleaver (internal/tenant). GET /metrics reports per-tenant
-//     queue state alongside the result-cache counters.
+//   - Multi-tenant admission: the admission queue is a weighted-fair
+//     queue, and an untenanted server is its one-lane case. With
+//     Config.Tenants set (schedd -tenants) every compare/sweep request
+//     names its tenant via the X-Tenant header, each tenant gets its own
+//     lane and bounded admission budget (its own 429, its own
+//     Retry-After sized to the backlog), and free execution slots are
+//     granted across lanes by weighted fair queueing — the service-level
+//     mirror of the array-level tenant interleaver (internal/tenant).
+//     GET /metrics reports per-tenant queue state alongside the
+//     result-cache counters.
 //
 // Endpoints: POST /v1/compare, POST /v1/sweep, POST /v1/stream,
 // GET /v1/cache/{key}, GET /debug/traces, GET /metrics, GET /healthz,
@@ -174,8 +177,8 @@ type Config struct {
 	// Tenants, when non-empty, switches admission to multi-tenant mode:
 	// compare/sweep requests must name a configured tenant in the
 	// X-Tenant header, each tenant waits in its own budgeted queue, and
-	// slots are granted by weighted fair queueing. Empty keeps the
-	// single shared queue exactly as before.
+	// slots are granted by weighted fair queueing. Empty admits through
+	// one shared lane of Queue waiters.
 	Tenants []TenantSpec
 	// Now substitutes the clock for the breakers (tests).
 	Now func() time.Time
@@ -206,14 +209,12 @@ func (c Config) withDefaults() Config {
 // Server is the scheduling service. Construct with New; drive with
 // Serve (or Handler for tests) and Drain.
 type Server struct {
-	cfg     Config
-	mux     *http.ServeMux
-	http    *http.Server
-	ready   atomic.Bool
-	slots   chan struct{}
-	waiters atomic.Int64
-	shed    atomic.Int64
-	served  atomic.Int64
+	cfg    Config
+	mux    *http.ServeMux
+	http   *http.Server
+	ready  atomic.Bool
+	shed   atomic.Int64
+	served atomic.Int64
 	// cacheHits counts /v1/compare answers served straight from the
 	// result cache, bypassing admission and retry; peerHits counts the
 	// subset answered by a fleet peer's cache after a local miss.
@@ -253,8 +254,8 @@ type Server struct {
 	streamReqs   atomic.Int64
 	streamReused atomic.Int64
 
-	// tq is the multi-tenant admission queue; nil outside tenant mode,
-	// in which case admit falls back to the single shared queue.
+	// tq is the admission queue: one lane per configured tenant, or a
+	// single lane keyed "" when the server is untenanted.
 	tq *tenantQueue
 }
 
@@ -264,7 +265,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
-		slots:    make(chan struct{}, cfg.Workers),
 		traces:   trace.NewRing(cfg.TraceRingEntries, cfg.TraceRingBytes),
 		breakers: retry.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now),
 		journals: map[string]bool{},
@@ -272,9 +272,11 @@ func New(cfg Config) *Server {
 		planner:  stream.NewPlanner(cfg.StreamMemoSegments),
 		start:    time.Now(),
 	}
-	if len(cfg.Tenants) > 0 {
-		s.tq = newTenantQueue(cfg.Workers, cfg.Queue, cfg.Tenants)
+	lanes := cfg.Tenants
+	if len(lanes) == 0 {
+		lanes = []TenantSpec{{ID: "", Weight: 1, Budget: cfg.Queue}}
 	}
+	s.tq = newTenantQueue(cfg.Workers, cfg.Queue, lanes)
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -285,8 +287,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	s.handler = s.withRecover(s.withWorkerHeader(s.mux))
-	registerTraceExpvar(s)
-	registerHardenExpvars()
+	registerExpvars(s)
 	s.http = &http.Server{
 		Handler:           s.handler,
 		ReadHeaderTimeout: 5 * time.Second,
@@ -383,12 +384,9 @@ type ReadyzResponse struct {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	depth, capacity := int(s.waiters.Load()), s.cfg.Queue
-	if s.tq != nil {
-		// Tenant mode: the honest queue picture is the summed per-tenant
-		// backlogs against the summed budgets.
-		depth, capacity = s.tq.depth()
-	}
+	// The honest queue picture is the summed lane backlogs against the
+	// summed budgets (one lane of Queue when untenanted).
+	depth, capacity := s.tq.depth()
 	resp := ReadyzResponse{
 		Status:        "ready",
 		QueueDepth:    depth,
@@ -406,37 +404,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		resp.Status, status = "saturated", http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, resp)
-}
-
-// admit implements the bounded work queue: an execution slot when one is
-// free, a bounded wait otherwise, immediate 429 + Retry-After beyond the
-// queue bound. ok=false means the response has been written. In tenant
-// mode the wait goes through the per-tenant weighted-fair queue instead.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
-	if s.tq != nil {
-		return s.admitTenant(w, r)
-	}
-	select {
-	case s.slots <- struct{}{}:
-		return func() { <-s.slots }, true
-	default:
-	}
-	if s.waiters.Add(1) > int64(s.cfg.Queue) {
-		s.waiters.Add(-1)
-		s.shed.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSONError(w, http.StatusTooManyRequests, "queue full, load shed", "overload")
-		return nil, false
-	}
-	defer s.waiters.Add(-1)
-	select {
-	case s.slots <- struct{}{}:
-		return func() { <-s.slots }, true
-	case <-r.Context().Done():
-		s.writeErr(w, scherr.Canceled(r.Context().Err()))
-		return nil, false
-	}
+	WriteJSON(w, status, resp)
 }
 
 // CompareRequest selects a workload either by Table 1 name (with
@@ -557,9 +525,9 @@ func (s *Server) compare(ctx context.Context, pa cds.Arch, part *cds.Part, key *
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	// Tenant mode: the tenant must resolve before ANY work happens for
-	// the request — the cache fast path below bypasses admission, and an
-	// unknown tenant must not ride it to an answer.
+	// The tenant must resolve before ANY work happens for the request:
+	// the cache fast path below bypasses admission, and an unknown tenant
+	// must not ride it to an answer.
 	if !s.checkTenant(w, r) {
 		return
 	}
@@ -635,7 +603,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 				resp.Attempts = 1
 				w.Header().Set("Server-Timing", "cache;desc=peer")
 				s.cfg.Logf("serve: compare %s: ok (peer cache fill from %s)", target, resp.CacheWorker)
-				writeJSON(w, http.StatusOK, resp)
+				WriteJSON(w, http.StatusOK, resp)
 				return
 			}
 		}
@@ -731,7 +699,7 @@ func (s *Server) writeCompare(w http.ResponseWriter, target string, cmp *cds.Com
 	fill(&resp.Basic, cmp.Basic, cmp.BasicErr)
 	fill(&resp.DS, cmp.DS, cmp.DSErr)
 	fill(&resp.CDS, cmp.CDS, cmp.CDSErr)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // SweepRequest selects a grid: architecture presets crossed with Table 1
@@ -840,7 +808,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if !s.lockJournal(req.Journal) {
 			s.cfg.Logf("serve: sweep %s: rejected, journal busy", req.Journal)
 			w.Header().Set("Retry-After", "1")
-			writeJSONError(w, http.StatusConflict,
+			WriteError(w, http.StatusConflict,
 				fmt.Sprintf("journal %q already has a sweep in flight", req.Journal), "journal_busy")
 			return
 		}
@@ -873,7 +841,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Rows = rows
 		s.cfg.Logf("serve: sweep %s: %d rows (%d resumed)", req.Journal, len(rows), resp.Resumed)
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 
@@ -884,11 +852,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Rows = sweep.Rows(outcomes)
 	s.cfg.Logf("serve: sweep: %d rows", len(resp.Rows))
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
-// errorBody is the JSON error envelope every non-2xx response carries.
-type errorBody struct {
+// ErrorBody is the JSON error envelope every non-2xx response carries,
+// from schedd and schedrouter alike.
+type ErrorBody struct {
 	Error string `json:"error"`
 	Class string `json:"class"`
 }
@@ -921,7 +890,7 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 		status, class = http.StatusServiceUnavailable, "transient_fault"
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSONError(w, status, err.Error(), class)
+	WriteError(w, status, err.Error(), class)
 }
 
 func retryAfterSeconds(d time.Duration) string {
@@ -932,11 +901,13 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-func writeJSONError(w http.ResponseWriter, status int, msg, class string) {
-	writeJSON(w, status, errorBody{Error: msg, Class: class})
+// WriteError answers with status and the ErrorBody envelope.
+func WriteError(w http.ResponseWriter, status int, msg, class string) {
+	WriteJSON(w, status, ErrorBody{Error: msg, Class: class})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v as indented JSON.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)

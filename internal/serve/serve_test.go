@@ -53,6 +53,12 @@ func post(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRec
 	return w
 }
 
+// queued reports how many admitted requests wait for a slot.
+func queued(s *Server) int {
+	d, _ := s.tq.depth()
+	return d
+}
+
 func decode[T any](t *testing.T, w *httptest.ResponseRecorder) T {
 	t.Helper()
 	var v T
@@ -153,7 +159,7 @@ func TestCompareBadRequests(t *testing.T) {
 			if w.Code != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400: %s", w.Code, w.Body.String())
 			}
-			if e := decode[errorBody](t, w); e.Class != "invalid_spec" {
+			if e := decode[ErrorBody](t, w); e.Class != "invalid_spec" {
 				t.Fatalf("class = %q, want invalid_spec", e.Class)
 			}
 		})
@@ -166,7 +172,7 @@ func TestCompareInfeasible(t *testing.T) {
 	if w.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("status = %d, want 422: %s", w.Code, w.Body.String())
 	}
-	if e := decode[errorBody](t, w); e.Class != "infeasible" {
+	if e := decode[ErrorBody](t, w); e.Class != "infeasible" {
 		t.Fatalf("class = %q, want infeasible", e.Class)
 	}
 }
@@ -219,11 +225,11 @@ func TestLoadShedding(t *testing.T) {
 	go serveOne() // occupies the single slot
 	<-started
 	go serveOne() // waits in the queue
-	for i := 0; i < 200 && s.waiters.Load() == 0; i++ {
+	for i := 0; i < 200 && queued(s) == 0; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if s.waiters.Load() != 1 {
-		t.Fatalf("waiters = %d, want 1", s.waiters.Load())
+	if n := queued(s); n != 1 {
+		t.Fatalf("waiters = %d, want 1", n)
 	}
 
 	// Queue full: the third request is shed synchronously.
@@ -234,7 +240,7 @@ func TestLoadShedding(t *testing.T) {
 	if w.Header().Get("Retry-After") == "" {
 		t.Fatal("shed response missing Retry-After")
 	}
-	if e := decode[errorBody](t, w); e.Class != "overload" {
+	if e := decode[ErrorBody](t, w); e.Class != "overload" {
 		t.Fatalf("class = %q, want overload", e.Class)
 	}
 	if s.Shed() != 1 {
@@ -277,7 +283,7 @@ func TestBreakerTripsPerTarget(t *testing.T) {
 		if w.Code != http.StatusServiceUnavailable {
 			t.Fatalf("failing request %d = %d, want 503", i, w.Code)
 		}
-		if e := decode[errorBody](t, w); e.Class != "transient_fault" {
+		if e := decode[ErrorBody](t, w); e.Class != "transient_fault" {
 			t.Fatalf("class = %q, want transient_fault", e.Class)
 		}
 		if w.Header().Get("Retry-After") == "" {
@@ -293,7 +299,7 @@ func TestBreakerTripsPerTarget(t *testing.T) {
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("open-circuit request = %d, want 503", w.Code)
 	}
-	if e := decode[errorBody](t, w); e.Class != "circuit_open" {
+	if e := decode[ErrorBody](t, w); e.Class != "circuit_open" {
 		t.Fatalf("class = %q, want circuit_open", e.Class)
 	}
 	if w.Header().Get("Retry-After") == "" {
@@ -305,7 +311,7 @@ func TestBreakerTripsPerTarget(t *testing.T) {
 
 	// A sibling target has its own breaker: it still reaches the backend.
 	w = post(t, s.Handler(), "/v1/compare", `{"workload":"E2"}`)
-	if e := decode[errorBody](t, w); w.Code != http.StatusServiceUnavailable || e.Class != "transient_fault" {
+	if e := decode[ErrorBody](t, w); w.Code != http.StatusServiceUnavailable || e.Class != "transient_fault" {
 		t.Fatalf("sibling target = %d/%q, want 503/transient_fault", w.Code, e.Class)
 	}
 	if calls.Load() != 3 {
@@ -364,7 +370,7 @@ func TestBreakerProbeAbortNoWedge(t *testing.T) {
 	// Still open while the restarted cooldown runs...
 	mode.Store(2)
 	w := post(t, s.Handler(), "/v1/compare", body)
-	if e := decode[errorBody](t, w); w.Code != http.StatusServiceUnavailable || e.Class != "circuit_open" {
+	if e := decode[ErrorBody](t, w); w.Code != http.StatusServiceUnavailable || e.Class != "circuit_open" {
 		t.Fatalf("mid-cooldown request = %d/%q, want 503/circuit_open", w.Code, e.Class)
 	}
 	// ...but the next probe gets through: the breaker did not wedge.
@@ -395,7 +401,7 @@ func TestSweepJournalBusy(t *testing.T) {
 	if w.Header().Get("Retry-After") == "" {
 		t.Fatal("journal_busy response missing Retry-After")
 	}
-	if e := decode[errorBody](t, w); e.Class != "journal_busy" {
+	if e := decode[ErrorBody](t, w); e.Class != "journal_busy" {
 		t.Fatalf("class = %q, want journal_busy", e.Class)
 	}
 
@@ -621,7 +627,7 @@ func TestSweepJournalValidation(t *testing.T) {
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("journal without a journal dir = %d, want 400: %s", w.Code, w.Body.String())
 	}
-	if e := decode[errorBody](t, w); e.Class != "invalid_spec" {
+	if e := decode[ErrorBody](t, w); e.Class != "invalid_spec" {
 		t.Fatalf("class = %q, want invalid_spec", e.Class)
 	}
 }

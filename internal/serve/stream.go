@@ -140,7 +140,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	s.cfg.Logf("serve: stream %s: ok (%d segments, %d reused, %d replanned)",
 		lg.Name, len(plan.Segments), plan.Reused, plan.Replanned)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // verifyStream audits one streamed execution before it is served: a

@@ -1,19 +1,23 @@
 package serve
 
-// Tenant-aware admission. When the server is configured with tenants
-// (schedd -tenants), every /v1/compare and /v1/sweep request must name
-// its tenant in the X-Tenant header, and admission stops being one
-// shared FIFO: each tenant gets its own bounded wait queue (the
-// admission budget) and free execution slots are granted by weighted
-// fair queueing — the same virtual-time discipline the array-level
-// interleaver (internal/tenant) uses for compute slices, applied here
-// to execution slots. A tenant posting faster than its budget drains is
-// shed with a per-tenant 429 whose Retry-After reflects the actual
-// backlog; other tenants' queues are untouched, so one hot tenant can
-// no longer starve the rest out of the admission queue entirely.
+// Admission. Every server admits through one weighted-fair queue
+// (tenantQueue): a fixed pool of execution slots granted across
+// per-lane FIFOs, each lane with its own bounded wait queue (the
+// admission budget). An untenanted server is the one-lane case: a single
+// lane keyed "" with weight 1 and budget Config.Queue, which is a plain
+// bounded FIFO in front of the slots — the service-level counterpart of
+// the array side, where one application is the K=1 case of the tenant
+// interleaver (internal/tenant).
 //
-// The non-tenant configuration is byte-for-byte the old behavior: no
-// header requirement, one shared queue, the same 429s.
+// With tenants configured (schedd -tenants), every /v1/compare and
+// /v1/sweep request names its tenant in the X-Tenant header, and each
+// tenant gets its own lane: free slots go to lanes by the same
+// virtual-time discipline the array-level interleaver uses for compute
+// slices. A tenant posting faster than its budget drains is shed with a
+// per-tenant 429 whose Retry-After reflects the actual backlog; other
+// tenants' queues are untouched, so one hot tenant cannot starve the
+// rest out of the admission queue. Untenanted servers ignore X-Tenant
+// and shed with the plain "overload" 429.
 
 import (
 	"context"
@@ -280,7 +284,7 @@ func (q *tenantQueue) release(l *tenantLane) {
 }
 
 // depth reports the current total backlog and the summed budgets (the
-// tenant-mode queue depth/capacity on /readyz).
+// queue depth/capacity on /readyz).
 func (q *tenantQueue) depth() (queued, capacity int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -322,24 +326,31 @@ func (q *tenantQueue) stats() []TenantQueueStat {
 	return out
 }
 
+// tenantOf names the lane a request queues in: the X-Tenant header in
+// tenant mode, the single "" lane otherwise (the header is ignored).
+func (s *Server) tenantOf(r *http.Request) string {
+	if len(s.cfg.Tenants) == 0 {
+		return ""
+	}
+	return r.Header.Get(TenantHeader)
+}
+
 // checkTenant enforces the tenant header on a request before any work
 // (including the cache fast path) happens for it. ok=false means the
-// 400 has been written. Outside tenant mode it admits everything.
+// 400 has been written.
 func (s *Server) checkTenant(w http.ResponseWriter, r *http.Request) bool {
-	if s.tq == nil {
-		return true
-	}
-	if id := r.Header.Get(TenantHeader); !s.tq.known(id) {
-		writeJSONError(w, http.StatusBadRequest, (&UnknownTenantError{ID: id}).Error(), "unknown_tenant")
+	if id := s.tenantOf(r); !s.tq.known(id) {
+		WriteError(w, http.StatusBadRequest, (&UnknownTenantError{ID: id}).Error(), "unknown_tenant")
 		return false
 	}
 	return true
 }
 
-// admitTenant is the tenant-mode arm of admit: per-tenant budget, then
-// a weighted-fair wait for a slot.
-func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request) (func(), bool) {
-	release, err := s.tq.admit(r.Context(), r.Header.Get(TenantHeader))
+// admit takes an execution slot for the request: its lane's budget,
+// then a weighted-fair wait for a slot. ok=false means the response has
+// been written.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+	release, err := s.tq.admit(r.Context(), s.tenantOf(r))
 	if err == nil {
 		return release, true
 	}
@@ -347,14 +358,19 @@ func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request) (func(), bo
 	var budget *TenantBudgetError
 	switch {
 	case errors.As(err, &unknown):
-		writeJSONError(w, http.StatusBadRequest, err.Error(), "unknown_tenant")
+		WriteError(w, http.StatusBadRequest, err.Error(), "unknown_tenant")
 	case errors.As(err, &budget):
 		s.shed.Add(1)
+		if len(s.cfg.Tenants) == 0 {
+			w.Header().Set("Retry-After", "1")
+			WriteError(w, http.StatusTooManyRequests, "queue full, load shed", "overload")
+			break
+		}
 		// The hint is the backlog's expected drain time: the whole fleet
 		// of workers chews through Queued requests ahead of this tenant's
 		// next chance, so one second plus backlog-over-workers.
 		w.Header().Set("Retry-After", strconv.Itoa(1+budget.Queued/s.cfg.Workers))
-		writeJSONError(w, http.StatusTooManyRequests, err.Error(), "tenant_budget")
+		WriteError(w, http.StatusTooManyRequests, err.Error(), "tenant_budget")
 	default:
 		s.writeErr(w, err)
 	}
@@ -363,7 +379,8 @@ func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request) (func(), bo
 
 // handleMetrics renders the plain-text counters: server admission,
 // result-cache effectiveness (rescache.Snapshot) and, in tenant mode,
-// the per-tenant queue state.
+// the per-tenant queue state (an untenanted server prints no tenant_
+// lines).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "schedd_served_total %d\n", s.served.Load())
@@ -387,7 +404,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "rescache_entries{cache=%q} %d\n", name, c.Entries)
 	}
 
-	if s.tq != nil {
+	if len(s.cfg.Tenants) > 0 {
 		for _, st := range s.tq.stats() {
 			fmt.Fprintf(w, "tenant_queue_depth{tenant=%q} %d\n", st.ID, st.Depth)
 			fmt.Fprintf(w, "tenant_inflight{tenant=%q} %d\n", st.ID, st.Inflight)

@@ -11,6 +11,7 @@ import (
 
 	"cds"
 	"cds/internal/scherr"
+	"cds/internal/workloads"
 )
 
 func TestParseTenants(t *testing.T) {
@@ -83,7 +84,7 @@ func TestTenantUnknown400(t *testing.T) {
 		if w.Code != http.StatusBadRequest {
 			t.Fatalf("%s tenant=%q = %d, want 400: %s", tc.path, tc.tenant, w.Code, w.Body.String())
 		}
-		if e := decode[errorBody](t, w); e.Class != "unknown_tenant" {
+		if e := decode[ErrorBody](t, w); e.Class != "unknown_tenant" {
 			t.Fatalf("%s tenant=%q class = %q, want unknown_tenant", tc.path, tc.tenant, e.Class)
 		}
 	}
@@ -131,7 +132,7 @@ func TestTenantBudgetShed429(t *testing.T) {
 	if ra := w.Header().Get("Retry-After"); ra != "2" {
 		t.Fatalf("Retry-After = %q, want 2 (1 + 1 queued / 1 worker)", ra)
 	}
-	if e := decode[errorBody](t, w); e.Class != "tenant_budget" {
+	if e := decode[ErrorBody](t, w); e.Class != "tenant_budget" {
 		t.Fatalf("class = %q, want tenant_budget", e.Class)
 	}
 	if s.Shed() != 1 {
@@ -176,7 +177,7 @@ func TestQueueFullRetryAfter(t *testing.T) {
 	go func() { codes <- post(t, s.Handler(), "/v1/compare", `{"workload":"MPEG"}`).Code }()
 	<-started
 	go func() { codes <- post(t, s.Handler(), "/v1/compare", `{"workload":"MPEG"}`).Code }()
-	for i := 0; i < 500 && s.waiters.Load() == 0; i++ {
+	for i := 0; i < 500 && queued(s) == 0; i++ {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -187,7 +188,7 @@ func TestQueueFullRetryAfter(t *testing.T) {
 	if ra := w.Header().Get("Retry-After"); ra != "1" {
 		t.Fatalf("Retry-After = %q, want 1", ra)
 	}
-	if e := decode[errorBody](t, w); e.Class != "overload" {
+	if e := decode[ErrorBody](t, w); e.Class != "overload" {
 		t.Fatalf("class = %q, want overload", e.Class)
 	}
 }
@@ -246,6 +247,68 @@ func TestTenantWeightedDequeue(t *testing.T) {
 	}
 }
 
+// TestUntenantedLaneFIFO pins the order an untenanted server grants
+// slots in: it admits through one weighted-fair lane, so with one slot
+// held, three waiters are granted strictly in arrival order.
+func TestUntenantedLaneFIFO(t *testing.T) {
+	started := make(chan string)
+	release := make(chan struct{})
+	s := New(Config{
+		Workers: 1,
+		Queue:   3,
+		Compare: func(ctx context.Context, pa cds.Arch, part *cds.Part) (*cds.Comparison, error) {
+			started <- part.App.Name
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, scherr.Canceled(ctx.Err())
+			}
+			return &cds.Comparison{DS: &cds.Result{}}, nil
+		},
+	})
+	appName := func(workload string) string {
+		t.Helper()
+		e, err := workloads.ByName(workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.Part.App.Name
+	}
+
+	codes := make(chan int, 4)
+	serveOne := func(workload string) {
+		codes <- post(t, s.Handler(), "/v1/compare", `{"workload":"`+workload+`"}`).Code
+	}
+	go serveOne("MPEG") // occupies the single slot
+	<-started
+	arrivals := []string{"E1", "E2", "E3"}
+	for i, wl := range arrivals {
+		go serveOne(wl)
+		for j := 0; j < 500 && queued(s) <= i; j++ {
+			time.Sleep(time.Millisecond)
+		}
+		if n := queued(s); n != i+1 {
+			t.Fatalf("after %d arrivals queued = %d", i+1, n)
+		}
+	}
+
+	var got, want []string
+	for _, wl := range arrivals {
+		want = append(want, appName(wl))
+		release <- struct{}{} // finish the running request; the next is granted
+		got = append(got, <-started)
+	}
+	release <- struct{}{}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("grant order %v, want arrival order %v", got, want)
+	}
+	for i := 0; i < 4; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("request finished %d, want 200", code)
+		}
+	}
+}
+
 // TestMetricsEndpoint: /metrics reports admission counters, the
 // rescache snapshot and per-tenant queue state as plain text.
 func TestMetricsEndpoint(t *testing.T) {
@@ -275,5 +338,17 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
+	}
+
+	// Untenanted: one anonymous lane, so /metrics prints no tenant_ lines
+	// and an X-Tenant header is ignored rather than rejected.
+	u := tenantServer(2, nil, release, nil)
+	if w := postTenant(t, u.Handler(), "/v1/compare", "x", `{"workload":"MPEG"}`); w.Code != http.StatusOK {
+		t.Fatalf("untenanted compare with X-Tenant = %d: %s", w.Code, w.Body.String())
+	}
+	w = httptest.NewRecorder()
+	u.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if body := w.Body.String(); !strings.Contains(body, "schedd_served_total 1") || strings.Contains(body, "tenant_") {
+		t.Errorf("untenanted metrics want schedd_served_total 1 and no tenant_ lines:\n%s", body)
 	}
 }

@@ -51,32 +51,51 @@ type TracesResponse struct {
 	Entries []TraceEntry   `json:"entries"`
 }
 
-// The "schedd_traces" expvar snapshots every server's ring counters.
-// Publish panics on duplicate names, so servers enter a registry and a
-// single sync.Once-guarded Func reads it — the same pattern as the
-// "rescache" expvar (multiple servers per process, tests constructing
-// servers repeatedly).
+// The schedd_* expvars aggregate over every server in the process:
+// "schedd_traces" snapshots each server's ring counters, and
+// "schedd_panics", "schedd_idem_hits" and "schedd_idem_collisions" sum
+// the hardening counters (harden.go). Publish panics on duplicate
+// names, so servers enter a registry and one sync.Once publishes Funcs
+// that read it — the same pattern as the "rescache" expvar (multiple
+// servers per process, tests constructing servers repeatedly).
 var (
-	tracePublishOnce sync.Once
-	traceRegistryMu  sync.Mutex
-	traceRegistry    []*Server
+	expvarOnce       sync.Once
+	serverRegistryMu sync.Mutex
+	serverRegistry   []*Server
 )
 
-func registerTraceExpvar(s *Server) {
-	traceRegistryMu.Lock()
-	traceRegistry = append(traceRegistry, s)
-	traceRegistryMu.Unlock()
-	tracePublishOnce.Do(func() {
+func registerExpvars(s *Server) {
+	serverRegistryMu.Lock()
+	serverRegistry = append(serverRegistry, s)
+	serverRegistryMu.Unlock()
+	expvarOnce.Do(func() {
 		expvar.Publish("schedd_traces", expvar.Func(func() any {
-			traceRegistryMu.Lock()
-			defer traceRegistryMu.Unlock()
-			out := make([]TraceRingStats, 0, len(traceRegistry))
-			for _, srv := range traceRegistry {
+			serverRegistryMu.Lock()
+			defer serverRegistryMu.Unlock()
+			out := make([]TraceRingStats, 0, len(serverRegistry))
+			for _, srv := range serverRegistry {
 				out = append(out, srv.traceStats())
 			}
 			return out
 		}))
+		expvar.Publish("schedd_panics", sumExpvar(func(srv *Server) int64 { return srv.panics.Load() }))
+		expvar.Publish("schedd_idem_hits", sumExpvar(func(srv *Server) int64 { return srv.idemHits.Load() }))
+		expvar.Publish("schedd_idem_collisions", sumExpvar(func(srv *Server) int64 { return srv.idemCollisions.Load() }))
 	})
+}
+
+// sumExpvar is an expvar whose value is counter summed over every
+// registered server.
+func sumExpvar(counter func(*Server) int64) expvar.Func {
+	return func() any {
+		serverRegistryMu.Lock()
+		defer serverRegistryMu.Unlock()
+		var total int64
+		for _, srv := range serverRegistry {
+			total += counter(srv)
+		}
+		return total
+	}
 }
 
 func (s *Server) traceStats() TraceRingStats {
@@ -155,5 +174,5 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Entries = append(resp.Entries, te)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cds/internal/trace"
@@ -177,7 +178,6 @@ func TestTraceSampling(t *testing.T) {
 func TestTraceExpvar(t *testing.T) {
 	a := New(Config{})
 	b := New(Config{}) // second server in one process: must not panic
-	_ = b
 	post(t, a.Handler(), "/v1/compare?trace=1", `{"workload":"E1"}`)
 
 	v := expvar.Get("schedd_traces")
@@ -187,5 +187,25 @@ func TestTraceExpvar(t *testing.T) {
 	out := fmt.Sprint(v)
 	if !strings.Contains(out, "trace_requests") {
 		t.Errorf("expvar output missing counters: %s", out)
+	}
+
+	// The hardening counters sum over every registered server: bumping
+	// a's and b's counters moves each expvar by exactly the bump.
+	sums := map[string]func(*Server) *atomic.Int64{
+		"schedd_panics":          func(s *Server) *atomic.Int64 { return &s.panics },
+		"schedd_idem_hits":       func(s *Server) *atomic.Int64 { return &s.idemHits },
+		"schedd_idem_collisions": func(s *Server) *atomic.Int64 { return &s.idemCollisions },
+	}
+	for name, counter := range sums {
+		v := expvar.Get(name)
+		if v == nil {
+			t.Fatalf("%s expvar not published", name)
+		}
+		before := v.(expvar.Func)().(int64)
+		counter(a).Add(2)
+		counter(b).Add(3)
+		if got := v.(expvar.Func)().(int64); got != before+5 {
+			t.Errorf("%s = %d after bumping a by 2 and b by 3, want %d", name, got, before+5)
+		}
 	}
 }
