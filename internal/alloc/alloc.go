@@ -16,7 +16,9 @@
 package alloc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -117,6 +119,15 @@ type FB struct {
 	allowSplit bool
 	policy     FitPolicy
 
+	// slab backs the Extents of single-extent placements, handed out
+	// as capacity-capped one-element sub-slices. It is append-only:
+	// callers may keep a Placement past Release and Reset, so a slot
+	// is never reused. A full slab is replaced, not grown; the old
+	// one lives on while placements reference it.
+	slab []Extent
+	// scratch is CheckInvariants' reusable buffer of live extents.
+	scratch []Extent
+
 	// Stats accumulated since New/Reset.
 	peakUsed   int
 	used       int
@@ -202,7 +213,8 @@ func (fb *FB) Live() []string {
 
 // Reset empties the FB and clears statistics. The free list's backing
 // array and the live map are reused, so per-sweep-point FB churn (Reset
-// between points) does not allocate.
+// between points) does not allocate. The extent slab is left as it is:
+// placements handed out before Reset keep their extents.
 func (fb *FB) Reset() {
 	fb.free = append(fb.free[:0], Extent{Addr: 0, Len: fb.size})
 	clear(fb.live)
@@ -226,9 +238,9 @@ func (fb *FB) Alloc(name string, size int, dir Dir, preferAddr int) (Placement, 
 
 	var extents []Extent
 	if preferAddr >= 0 && fb.regionFree(preferAddr, size) {
-		extents = []Extent{{Addr: preferAddr, Len: size}}
+		extents = fb.single(Extent{Addr: preferAddr, Len: size})
 	} else if e, ok := fb.firstFit(size, dir); ok {
-		extents = []Extent{e}
+		extents = fb.single(e)
 	} else {
 		if !fb.allowSplit {
 			return Placement{}, fmt.Errorf("alloc: %q (%d bytes, largest free %d): %w",
@@ -248,6 +260,26 @@ func (fb *FB) Alloc(name string, size int, dir Dir, preferAddr int) (Placement, 
 		fb.peakUsed = fb.used
 	}
 	return p, nil
+}
+
+// Slab chunk sizes: the first chunk is small so a short-lived FB stays
+// cheap, later ones double up to a cap that bounds what one long-lived
+// placement can keep reachable.
+const (
+	minSlab = 8
+	maxSlab = 128
+)
+
+// single returns a one-extent slice for e carved from the slab. Its
+// capacity is capped at one, so an append by the caller copies instead
+// of overwriting the next placement's slot.
+func (fb *FB) single(e Extent) []Extent {
+	if len(fb.slab) == cap(fb.slab) {
+		fb.slab = make([]Extent, 0, min(max(2*cap(fb.slab), minSlab), maxSlab))
+	}
+	i := len(fb.slab)
+	fb.slab = append(fb.slab, e)
+	return fb.slab[i : i+1 : i+1]
 }
 
 // Release frees a live object and coalesces the free list (the paper's
@@ -435,7 +467,7 @@ func (fb *FB) CheckInvariants() error {
 		freeSum += e.Len
 	}
 	liveSum := 0
-	occupied := make([]Extent, 0, len(fb.live))
+	occupied := fb.scratch[:0]
 	for _, p := range fb.live {
 		for _, e := range p.Extents {
 			if e.Len <= 0 || e.Addr < 0 || e.End() > fb.size {
@@ -445,7 +477,8 @@ func (fb *FB) CheckInvariants() error {
 			liveSum += e.Len
 		}
 	}
-	sort.Slice(occupied, func(i, j int) bool { return occupied[i].Addr < occupied[j].Addr })
+	fb.scratch = occupied
+	slices.SortFunc(occupied, func(x, y Extent) int { return cmp.Compare(x.Addr, y.Addr) })
 	for i := 1; i < len(occupied); i++ {
 		if occupied[i-1].End() > occupied[i].Addr {
 			return fmt.Errorf("alloc: live extents overlap: %+v and %+v", occupied[i-1], occupied[i])

@@ -96,9 +96,9 @@ func (cm *ContextMemory) Evict(kernel string) {
 	}
 }
 
-// Reset empties the context memory.
+// Reset empties the context memory, keeping its storage for reuse.
 func (cm *ContextMemory) Reset() {
-	cm.resident = make(map[string]int)
+	clear(cm.resident)
 	cm.order = cm.order[:0]
 	cm.used = 0
 }

@@ -376,6 +376,16 @@ func buildRetainedLookups(retained []Retained, info *extract.Info) retainedLooku
 	return rl
 }
 
+// carve returns the movements appended since mark as a slice whose
+// capacity ends at its length, so appending to it never overwrites the
+// next list, and the new mark. No movements give a nil list.
+func carve(moves []Movement, mark int) ([]Movement, int) {
+	if len(moves) == mark {
+		return nil, mark
+	}
+	return moves[mark:len(moves):len(moves)], len(moves)
+}
+
 // buildVisits fills s.Visits: one visit per (block, cluster), in execution
 // order, with context traffic counted by replaying the Context Memory.
 // The replay can only fail on a broken Context Memory invariant
@@ -386,7 +396,27 @@ func buildVisits(s *Schedule, pa arch.Params, info *extract.Info, rf int, retain
 	rl := buildRetainedLookups(retained, info)
 	cm := arch.NewContextMemory(pa.CMWords)
 
-	for b, iters := range blocks(a.Iterations, rf) {
+	// Every visit's Loads, Stores and CtxLoads are carved from one
+	// backing array, sized by the per-block bound: a cluster loads at
+	// most its external inputs (Basic: each kernel's inputs), stores at
+	// most its persistent results and loads contexts at most once per
+	// kernel.
+	bs := blocks(a.Iterations, rf)
+	perBlock := 0
+	for _, ci := range info.Clusters {
+		if perKernelLoads {
+			for _, ki := range ci.Cluster.Kernels {
+				perBlock += len(a.Kernels[ki].Inputs)
+			}
+		} else {
+			perBlock += len(ci.ExternalIn)
+		}
+		perBlock += len(ci.PersistentOut) + len(ci.Cluster.Kernels)
+	}
+	moves := make([]Movement, 0, len(bs)*perBlock)
+	s.Visits = make([]Visit, 0, len(bs)*len(info.Clusters))
+
+	for b, iters := range bs {
 		for _, ci := range info.Clusters {
 			c := ci.Cluster
 			v := Visit{
@@ -395,6 +425,7 @@ func buildVisits(s *Schedule, pa arch.Params, info *extract.Info, rf int, retain
 				Block:   b,
 				Iters:   iters,
 			}
+			mark := len(moves)
 			// Data loads.
 			if perKernelLoads {
 				// Basic Scheduler: each kernel transfers its own
@@ -416,7 +447,7 @@ func buildVisits(s *Schedule, pa arch.Params, info *extract.Info, rf int, retain
 							}
 							streamedCharged[name] = true
 						}
-						v.Loads = append(v.Loads, Movement{Datum: name, Bytes: iters * a.SizeOf(name)})
+						moves = append(moves, Movement{Datum: name, Bytes: iters * a.SizeOf(name)})
 					}
 				}
 			} else {
@@ -424,16 +455,18 @@ func buildVisits(s *Schedule, pa arch.Params, info *extract.Info, rf int, retain
 					if loader, ok := rl.loaderCluster[retKey{name, c.Set}]; ok && loader != c.Index {
 						continue // resident: retained by an earlier cluster or kept since production
 					}
-					v.Loads = append(v.Loads, Movement{Datum: name, Bytes: iters * a.SizeOf(name)})
+					moves = append(moves, Movement{Datum: name, Bytes: iters * a.SizeOf(name)})
 				}
 			}
+			v.Loads, mark = carve(moves, mark)
 			// Result stores.
 			for _, name := range ci.PersistentOut {
 				if rl.skipStore[retKey{name, c.Set}] {
 					continue
 				}
-				v.Stores = append(v.Stores, Movement{Datum: name, Bytes: iters * a.SizeOf(name)})
+				moves = append(moves, Movement{Datum: name, Bytes: iters * a.SizeOf(name)})
 			}
+			v.Stores, mark = carve(moves, mark)
 			// Context loads: once per visit per context group at
 			// most, fewer if the group survived in the CM. The Basic
 			// Scheduler (perKernelLoads) is the DATE'99 baseline with
@@ -464,11 +497,12 @@ func buildVisits(s *Schedule, pa arch.Params, info *extract.Info, rf int, retain
 					moved = k.ContextWords
 				}
 				if moved > 0 {
-					v.CtxLoads = append(v.CtxLoads, Movement{Datum: k.CtxGroup(), Bytes: moved})
+					moves = append(moves, Movement{Datum: k.CtxGroup(), Bytes: moved})
 				}
 				v.CtxWords += moved
 				v.ComputeCycles += iters * k.ComputeCycles
 			}
+			v.CtxLoads, _ = carve(moves, mark)
 			s.Visits = append(s.Visits, v)
 		}
 	}
