@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"cds/internal/app"
@@ -182,5 +183,19 @@ func TestAllocateRegularAcrossBlocks(t *testing.T) {
 func TestAllocOpString(t *testing.T) {
 	if OpAlloc.String() != "alloc" || OpRelease.String() != "release" {
 		t.Error("AllocOp.String broken")
+	}
+}
+
+// TestAllocateRejectsUnfinalizedApp: the replay walks interned datum
+// IDs, so an App literal that never went through Builder.Build or
+// Finalize is reported as an error instead of indexing missing tables.
+func TestAllocateRejectsUnfinalizedApp(t *testing.T) {
+	part := pipeApp(t, 4)
+	s := scheduleOrFatal(t, CompleteDataScheduler{}, 360, part)
+	a := part.App
+	bare := &app.App{Name: a.Name, Iterations: a.Iterations, Data: a.Data, Kernels: a.Kernels}
+	s.P = &app.Partition{App: bare, Clusters: part.Clusters}
+	if _, err := Allocate(s, true); err == nil || !strings.Contains(err.Error(), "not finalized") {
+		t.Fatalf("Allocate on an unfinalized app: err = %v, want a not-finalized error", err)
 	}
 }
