@@ -199,3 +199,34 @@ func TestAllocateRejectsUnfinalizedApp(t *testing.T) {
 		t.Fatalf("Allocate on an unfinalized app: err = %v, want a not-finalized error", err)
 	}
 }
+
+// TestParseInstance pins the strict instance-name grammar: a lenient
+// scanner reads "tile#i3x" and "tile#i 3" as 3, "tile#i0x1f" as 0 and
+// "tile#i-1" as -1; none of them is a name the replay builds.
+func TestParseInstance(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		datum string
+		iter  int
+		ok    bool
+	}{
+		{"tile#i3", "tile", 3, true},
+		{"tile#i0", "tile", 0, true},
+		{"a#ib#i12", "a#ib", 12, true},
+		{"tile#i3x", "", 0, false},
+		{"tile#i 3", "", 0, false},
+		{"tile#i0x1f", "", 0, false},
+		{"tile#i-1", "", 0, false},
+		{"tile#i+1", "", 0, false},
+		{"tile#i03", "", 0, false},
+		{"tile#i", "", 0, false},
+		{"tile", "", 0, false},
+		{"tile#i99999999999999999999", "", 0, false},
+	} {
+		datum, iter, ok := ParseInstance(tc.name)
+		if datum != tc.datum || iter != tc.iter || ok != tc.ok {
+			t.Errorf("ParseInstance(%q) = %q, %d, %v; want %q, %d, %v",
+				tc.name, datum, iter, ok, tc.datum, tc.iter, tc.ok)
+		}
+	}
+}
