@@ -85,6 +85,15 @@ func RunTraced(s *core.Schedule, rec *trace.Recorder) (*Result, error) {
 // recorded timeline, labeled by the schedule's scheduler name.
 func Trace(s *core.Schedule) (*Result, *trace.Timeline, error) {
 	rec := trace.NewRecorder()
+	if s != nil {
+		// Each visit records at most its loads, its stores, one
+		// context span, one compute span and one set-switch mark.
+		n := 0
+		for i := range s.Visits {
+			n += len(s.Visits[i].Loads) + len(s.Visits[i].Stores) + 2
+		}
+		rec.Grow(n, len(s.Visits))
+	}
 	r, err := RunTraced(s, rec)
 	if err != nil {
 		return nil, nil, err

@@ -2,25 +2,51 @@ package sim
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"cds/internal/app"
+	"cds/internal/arch"
 	"cds/internal/core"
+	"cds/internal/scherr"
 	"cds/internal/trace"
 	"cds/internal/workloads"
 )
 
 // TestTracedIdenticalToUntraced is the subsystem's conservativeness
-// guarantee: recording a timeline must not change the simulation. Run
-// and RunTraced share one walk, and this pins the results byte-identical
-// across every workload and scheduler.
+// guarantee: recording a timeline must not change the simulation. Run,
+// RunTraced and Trace share one walk, and this pins their results
+// byte-identical across the Table 1 rows and GenSpec(1, 0..199), for
+// every scheduler (the verifier's serialization check reads Trace's
+// result).
 func TestTracedIdenticalToUntraced(t *testing.T) {
+	type row struct {
+		name string
+		p    arch.Params
+		part *app.Partition
+	}
+	var rows []row
 	for _, e := range workloads.All() {
+		rows = append(rows, row{e.Name, e.Arch, e.Part})
+	}
+	for i := 0; i < 200; i++ {
+		part, p, err := workloads.GenSpec(1, i).Build()
+		if err != nil {
+			t.Fatalf("GenSpec(1, %d): %v", i, err)
+		}
+		rows = append(rows, row{fmt.Sprintf("spec/%03d", i), p, part})
+	}
+	for _, e := range rows {
 		for _, sched := range []core.Scheduler{core.Basic{}, core.DataScheduler{}, core.CompleteDataScheduler{}} {
-			s, err := sched.Schedule(e.Arch, e.Part)
+			s, err := sched.Schedule(e.p, e.part)
+			if errors.Is(err, scherr.ErrInfeasible) {
+				continue
+			}
 			if err != nil {
-				t.Fatalf("%s/%s: %v", e.Name, sched.Name(), err)
+				t.Fatalf("%s/%s: %v", e.name, sched.Name(), err)
 			}
 			plain, err := Run(s)
 			if err != nil {
@@ -33,7 +59,7 @@ func TestTracedIdenticalToUntraced(t *testing.T) {
 			}
 			if !reflect.DeepEqual(plain, traced) {
 				t.Errorf("%s/%s: traced result differs:\nplain:  %+v\ntraced: %+v",
-					e.Name, sched.Name(), plain, traced)
+					e.name, sched.Name(), plain, traced)
 			}
 			// And a nil recorder through RunTraced is exactly Run.
 			nilTraced, err := RunTraced(s, nil)
@@ -41,7 +67,15 @@ func TestTracedIdenticalToUntraced(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(plain, nilTraced) {
-				t.Errorf("%s/%s: nil-recorder result differs", e.Name, sched.Name())
+				t.Errorf("%s/%s: nil-recorder result differs", e.name, sched.Name())
+			}
+			fromTrace, _, err := Trace(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plain, fromTrace) {
+				t.Errorf("%s/%s: Trace result differs:\nplain: %+v\ntrace: %+v",
+					e.name, sched.Name(), plain, fromTrace)
 			}
 		}
 	}

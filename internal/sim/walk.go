@@ -196,7 +196,7 @@ func walk(lanes []lane, order []TenantSlice, pol policy, rec *trace.Recorder, sl
 			if rec != nil && vi > 0 && v.Set != l.s.Visits[vi-1].Set {
 				rec.Mark(trace.Mark{
 					Kind: trace.MarkFBSwitch, Cycle: start, Visit: vi,
-					Name: fmt.Sprintf("set %d -> %d", l.s.Visits[vi-1].Set, v.Set),
+					Name: switchLabel(l.s.Visits[vi-1].Set, v.Set),
 				})
 			}
 
@@ -215,4 +215,16 @@ func walk(lanes []lane, order []TenantSlice, pol policy, rec *trace.Recorder, sl
 		drain(q)
 	}
 	return max(rcFree, dmaFree)
+}
+
+// switchLabel names an FB set switch mark. The two-set machine's labels
+// are constants, so recording them allocates nothing.
+func switchLabel(from, to int) string {
+	switch {
+	case from == 0 && to == 1:
+		return "set 0 -> 1"
+	case from == 1 && to == 0:
+		return "set 1 -> 0"
+	}
+	return fmt.Sprintf("set %d -> %d", from, to)
 }

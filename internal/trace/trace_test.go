@@ -90,6 +90,52 @@ func TestTileRejectsOverlapAndOutOfRange(t *testing.T) {
 	}
 }
 
+// TestCheckTilingMatchesTile pins CheckTiling to Tile's verdict and
+// error text, for spans in start order (checked in place) and out of it
+// (checked on the sorted copy).
+func TestCheckTilingMatchesTile(t *testing.T) {
+	span := func(start, end int) Span {
+		return Span{Resource: DMA, Kind: KindLoad, Name: "x", Start: start, End: end}
+	}
+	for _, tc := range []struct {
+		name     string
+		spans    []Span
+		makespan int
+	}{
+		{"ordered", []Span{span(0, 4), span(6, 10)}, 12},
+		{"unordered", []Span{span(6, 10), span(0, 4)}, 12},
+		{"overlap", []Span{span(0, 10), span(5, 15)}, 20},
+		{"unordered overlap", []Span{span(5, 15), span(0, 10)}, 20},
+		{"oversized", []Span{span(0, 30)}, 20},
+		{"negative", []Span{span(-2, 3)}, 20},
+		{"empty", nil, 20},
+	} {
+		tl := &Timeline{Label: tc.name, Makespan: tc.makespan, Spans: tc.spans}
+		_, want := Tile(tl)
+		got := CheckTiling(tl)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Errorf("%s: CheckTiling = %v, Tile = %v", tc.name, got, want)
+		}
+	}
+	if err := CheckTiling(handTimeline()); err != nil {
+		t.Errorf("hand timeline: %v", err)
+	}
+	if err := CheckTiling(nil); err == nil {
+		t.Error("nil timeline accepted")
+	}
+}
+
+// TestGrowKeepsEmptyTimelineNil pins that reserving room records
+// nothing: a timeline with no spans or marks keeps nil lists.
+func TestGrowKeepsEmptyTimelineNil(t *testing.T) {
+	r := NewRecorder()
+	r.Grow(8, 2)
+	tl := r.Timeline("empty", 0)
+	if tl.Spans != nil || tl.Marks != nil {
+		t.Errorf("Grow left non-nil empty lists: %+v", tl)
+	}
+}
+
 func TestAnalyzeDecomposition(t *testing.T) {
 	a := Analyze(handTimeline())
 	if a.Makespan != 40 || a.DMABusy != 20 || a.RCBusy != 20 {

@@ -66,7 +66,7 @@ func StreamTimeline(s *core.Schedule, o sim.StreamOpts, res *sim.Result, tl *tra
 	}
 
 	// DMA serialization and exact tiling of both resource tracks.
-	if _, err := trace.Tile(tl); err != nil {
+	if err := trace.CheckTiling(tl); err != nil {
 		return &Error{Invariant: "prefetch", Err: err}
 	}
 
