@@ -127,15 +127,9 @@ func run(ctx context.Context, opts options) error {
 
 	if opts.trace {
 		fmt.Println()
-		if err := printTrace(res.Schedule); err != nil {
-			return err
-		}
+		printTrace(res.Allocation)
 	}
 	if opts.occupancy {
-		rep, err := core.Allocate(res.Schedule, true)
-		if err != nil {
-			return err
-		}
 		sets := map[int]bool{}
 		for _, c := range res.Schedule.P.Clusters {
 			sets[c.Set] = true
@@ -145,8 +139,8 @@ func run(ctx context.Context, opts options) error {
 				continue
 			}
 			fmt.Println()
-			report.Occupancy(os.Stdout, rep.Events, set, pa.FBSetBytes, 72)
-			report.Legend(os.Stdout, rep.Events, set)
+			report.Occupancy(os.Stdout, res.Allocation.Events, set, pa.FBSetBytes, 72)
+			report.Legend(os.Stdout, res.Allocation.Events, set)
 		}
 	}
 	if opts.timeline {
@@ -267,11 +261,7 @@ func printSummary(res *cds.Result, pa arch.Params) {
 
 // printTrace renders the allocation events of the first block as a
 // Figure 5 style timeline.
-func printTrace(s *core.Schedule) error {
-	rep, err := core.Allocate(s, true)
-	if err != nil {
-		return err
-	}
+func printTrace(rep *core.AllocationReport) {
 	fmt.Println("allocation timeline (block 0):")
 	for _, ev := range rep.Events {
 		if ev.Block != 0 {
@@ -284,5 +274,4 @@ func printTrace(s *core.Schedule) error {
 		fmt.Printf("  c%d %-7s %-7s %-14s set%d @%-5d %5d B\n",
 			ev.Cluster, iter, ev.Op, ev.Object, ev.Set, ev.Addr, ev.Bytes)
 	}
-	return nil
 }

@@ -143,15 +143,16 @@ func GenerateFrom(s *core.Schedule, rep *core.AllocationReport) (*Program, error
 	for i := range live {
 		live[i] = -1
 	}
-	// locate resolves event i's instance key and live-table slot.
-	locate := func(i int) (key, slot int, err error) {
+	// slotOf returns event i's live-table slot. The event must name an
+	// instance of the schedule on a set some visit runs on.
+	slotOf := func(i int) (int, error) {
 		ev := &rep.Events[i]
-		key, ok := inst.Parse(ev.Object)
-		if !ok || ev.Set < 0 || ev.Set >= nSets {
-			return 0, 0, fmt.Errorf("codegen: event %d: %s of %q on set %d is not an instance of the schedule",
+		k := int(ev.Inst)
+		if k < 0 || k >= n || ev.Set < 0 || ev.Set >= nSets {
+			return 0, fmt.Errorf("codegen: event %d: %s of %q on set %d is not an instance of the schedule",
 				i, ev.Op, ev.Object, ev.Set)
 		}
-		return key, ev.Set*n + key, nil
+		return ev.Set*n + k, nil
 	}
 	// pending[key] == vi+1 marks an instance visit vi still has to
 	// store; resident collects the ones still placed after the visit.
@@ -204,7 +205,7 @@ func GenerateFrom(s *core.Schedule, rep *core.AllocationReport) (*Program, error
 			if ev.Op != core.OpAlloc {
 				return nil, fmt.Errorf("codegen: unexpected pre-visit %s of %s", ev.Op, ev.Object)
 			}
-			_, slot, err := locate(inVisit)
+			slot, err := slotOf(inVisit)
 			if err != nil {
 				return nil, err
 			}
@@ -280,10 +281,11 @@ func GenerateFrom(s *core.Schedule, rep *core.AllocationReport) (*Program, error
 		// just before their space is reclaimed.
 		for i := inVisit; i < end; i++ {
 			ev := &rep.Events[i]
-			key, slot, err := locate(i)
+			slot, err := slotOf(i)
 			if err != nil {
 				return nil, err
 			}
+			key := int(ev.Inst)
 			switch ev.Op {
 			case core.OpAlloc:
 				live[slot] = int32(i)

@@ -307,9 +307,9 @@ func TestCheckRejectsMalformedStoreObjects(t *testing.T) {
 	}
 }
 
-// TestGenerateFromRejectsForeignEvents pins that GenerateFrom resolves
-// every event's instance from its object name: an event naming no
-// instance of the schedule is an error, not a silent miss.
+// TestGenerateFromRejectsForeignEvents pins that GenerateFrom checks
+// every event's instance key: an event naming no instance of the
+// schedule, or a set no visit runs on, is an error, not a silent miss.
 func TestGenerateFromRejectsForeignEvents(t *testing.T) {
 	_, s := generate(t, core.CompleteDataScheduler{}, 400, 4)
 	rep, err := core.Allocate(s, true)
@@ -319,12 +319,14 @@ func TestGenerateFromRejectsForeignEvents(t *testing.T) {
 	if _, err := GenerateFrom(s, rep); err != nil {
 		t.Fatalf("genuine replay: %v", err)
 	}
-	for _, obj := range []string{"ghost#i0", "inA#i99", "inA#i01"} {
+	n := core.InstancesOf(s).Len()
+	for _, c := range []struct{ inst, set int }{{-1, 0}, {n, 0}, {0, -1}, {0, 99}} {
 		bad := *rep
 		bad.Events = append([]core.AllocEvent(nil), rep.Events...)
-		bad.Events[len(bad.Events)-1].Object = obj
+		bad.Events[len(bad.Events)-1].Inst = int32(c.inst)
+		bad.Events[len(bad.Events)-1].Set = c.set
 		if _, err := GenerateFrom(s, &bad); err == nil || !strings.Contains(err.Error(), "is not an instance of the schedule") {
-			t.Errorf("event on %q: err = %v", obj, err)
+			t.Errorf("event of key %d on set %d: err = %v", c.inst, c.set, err)
 		}
 	}
 }

@@ -38,6 +38,10 @@ type AllocEvent struct {
 	// whether the instance had to be split across free blocks.
 	Addr, Bytes int
 	Split       bool
+	// Inst is the instance's key (InstancesOf); consumers key their
+	// per-instance state by it, never by Object. An int32 beside Split
+	// keeps the event as small as it was without the key.
+	Inst int32 `json:"-"`
 	// Cluster, Block, Iter locate the event in the schedule. Iter is -1
 	// for the pre-visit input loading phase.
 	Cluster, Block, Iter int
@@ -154,6 +158,7 @@ func AllocateWithOptions(s *Schedule, opts AllocOptions) (*AllocationReport, err
 		ev.Op = OpAlloc
 		ev.Set = set
 		ev.Object = inst
+		ev.Inst = int32(k)
 		ev.Datum = a.DatumName(id)
 		ev.Addr = p.Addr()
 		ev.Bytes = p.Bytes()
@@ -162,7 +167,8 @@ func AllocateWithOptions(s *Schedule, opts AllocOptions) (*AllocationReport, err
 		return nil
 	}
 	free := func(fb *alloc.FB, set int, id int32, iter int, ev AllocEvent) error {
-		inst := names.name(names.Key(id, iter))
+		k := names.Key(id, iter)
+		inst := names.name(k)
 		p, ok := fb.Lookup(inst)
 		if !ok {
 			return fmt.Errorf("core: allocation replay: release of absent %s (cluster %d block %d)",
@@ -174,6 +180,7 @@ func AllocateWithOptions(s *Schedule, opts AllocOptions) (*AllocationReport, err
 		ev.Op = OpRelease
 		ev.Set = set
 		ev.Object = inst
+		ev.Inst = int32(k)
 		ev.Addr = p.Addr()
 		ev.Bytes = p.Bytes()
 		rep.Events = append(rep.Events, ev)

@@ -11,7 +11,8 @@ import (
 // iteration) pair, a dense key: datum ID × Iters + iteration, where
 // Iters is the schedule's largest visit iteration count. The allocation
 // replay and the checkers key their per-instance tables by it instead
-// of by instance name. The app must be finalized.
+// of by instance name; each replay event carries its key
+// (AllocEvent.Inst). The app must be finalized.
 type Instances struct {
 	a *app.App
 	// Iters bounds the iteration of every instance.
@@ -38,21 +39,6 @@ func (in Instances) Datum(k int) int32 { return int32(k / in.Iters) }
 
 // Iter returns the iteration of key k.
 func (in Instances) Iter(k int) int { return k % in.Iters }
-
-// Parse resolves an instance name to its key. ok is false for a name
-// ParseInstance rejects, an unknown datum or an iteration outside
-// [0, Iters).
-func (in Instances) Parse(name string) (k int, ok bool) {
-	datum, iter, ok := ParseInstance(name)
-	if !ok || iter >= in.Iters {
-		return 0, false
-	}
-	id := in.a.DatumID(datum)
-	if id < 0 {
-		return 0, false
-	}
-	return in.Key(int32(id), iter), true
-}
 
 // ParseInstance splits an instance name built by the replay,
 // "<datum>#i<iter>", into its datum and iteration. ok is false unless the

@@ -10,12 +10,24 @@
 // The Basic Scheduler moves ~2x the data of the Complete Data Scheduler
 // on some workloads; this package shows they still compute the same
 // thing.
+//
+// A run replays the schedule's allocation (core.Allocate) and walks it
+// with core.Replay, the execution-order walk the verifier's liveness
+// check also runs on: placements and releases apply in replay order,
+// each kernel step and each visit's stores run between them, and a read
+// of an instance absent from the reader's set takes the copy on the
+// lowest set that holds it. The machine itself keeps only the bytes: one
+// external-memory entry per (datum, absolute iteration) and one byte
+// slice per Frame Buffer set. A placement is the range [Addr,
+// Addr+Bytes) of its set, so a split placement is copied as one
+// contiguous range from its first extent's address.
 package machine
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -93,13 +105,6 @@ func InputBytes(seed int64, datum string, absIter, size int) []byte {
 	return buf
 }
 
-// extKey addresses external memory: one datum instance per absolute
-// iteration.
-type extKey struct {
-	datum   string
-	absIter int
-}
-
 // Result is the outcome of a functional run.
 type Result struct {
 	// Ext is the final external memory: every stored result (and the
@@ -157,227 +162,138 @@ func RunWithHooks(s *core.Schedule, seed int64, sem Semantics, hooks *Hooks) (*R
 	if err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
 	}
-	type visitKey struct{ block, cluster int }
-	eventsByVisit := map[visitKey][]core.AllocEvent{}
-	for _, ev := range rep.Events {
-		k := visitKey{ev.Block, ev.Cluster}
-		eventsByVisit[k] = append(eventsByVisit[k], ev)
-	}
+	r := core.NewReplay(s, rep)
 
-	// External memory: inputs are generated lazily; results appear when
-	// stored.
-	ext := map[extKey][]byte{}
-	extRead := func(datum string, absIter int) ([]byte, error) {
-		if hooks.OnLoad != nil {
-			if err := hooks.OnLoad(datum, absIter, a.SizeOf(datum)); err != nil {
-				return nil, fmt.Errorf("machine: load of %s@%d: %w", datum, absIter, err)
-			}
-		}
-		key := extKey{datum, absIter}
-		if data, ok := ext[key]; ok {
-			return data, nil
-		}
-		if !a.IsExternalInput(datum) {
-			return nil, fmt.Errorf("machine: load of %s@%d which was never stored", datum, absIter)
-		}
-		data := InputBytes(seed, datum, absIter, a.SizeOf(datum))
-		ext[key] = data
-		return data, nil
+	// ext[id*extIters+abs] is external memory's copy of datum id's
+	// instance of absolute iteration abs: inputs are generated lazily;
+	// results appear when stored.
+	extIters := 0
+	for _, v := range s.Visits {
+		extIters = max(extIters, v.Block*s.RF+v.Iters)
 	}
+	ext := make([][]byte, a.NumData()*extIters)
 
-	// Frame buffer sets and the placement map.
-	fbs := map[int][]byte{}
-	for _, c := range s.P.Clusters {
-		if _, ok := fbs[c.Set]; !ok {
-			fbs[c.Set] = make([]byte, s.Arch.FBSetBytes)
-		}
+	// fbs[set] is one Frame Buffer set's bytes. A placement is the
+	// bytes [Addr, Addr+Bytes) of its set.
+	fbBytes := s.Arch.FBSetBytes
+	slab := make([]byte, r.Sets*fbBytes)
+	fbs := make([][]byte, r.Sets)
+	for set := range fbs {
+		fbs[set] = slab[set*fbBytes : (set+1)*fbBytes : (set+1)*fbBytes]
 	}
-	type placeKey struct {
-		set  int
-		inst string
-	}
-	placed := map[placeKey]core.AllocEvent{}
-	// findPlacement locates an instance, preferring the home set and
-	// falling back to any set (cross-set remote reads).
-	findPlacement := func(set int, inst string) (core.AllocEvent, bool) {
-		if ev, ok := placed[placeKey{set, inst}]; ok {
-			return ev, true
-		}
-		for otherSet := range fbs {
-			if ev, ok := placed[placeKey{otherSet, inst}]; ok {
-				return ev, true
-			}
-		}
-		return core.AllocEvent{}, false
+	bytesOf := func(slot int) []byte {
+		ev := r.Placed(slot)
+		return fbs[ev.Set][ev.Addr : ev.Addr+ev.Bytes]
 	}
 
 	res := &Result{}
-
-	for _, v := range s.Visits {
-		evs := eventsByVisit[visitKey{v.Block, v.Cluster}]
-		loadsDatum := map[string]bool{}
-		for _, m := range v.Loads {
-			loadsDatum[m.Datum] = true
-		}
-
-		// applyEvent mirrors the allocator replay: placements appear
-		// (with loaded data copied in) and disappear in the exact order
-		// the allocator decided — a later allocation may legally reuse a
-		// released address, so order matters for the bytes.
-		applyEvent := func(ev core.AllocEvent) error {
-			switch ev.Op {
-			case core.OpAlloc:
-				placed[placeKey{ev.Set, ev.Object}] = ev
-				if !loadsDatum[ev.Datum] {
-					return nil
+	// The walk applies placements and releases in the exact order the
+	// allocator decided (a later placement may legally reuse a released
+	// address, so order matters for the bytes) and runs each kernel
+	// step and each visit's stores between them. Its errors, and the
+	// hooks' below, take the "machine: " prefix once, at the end.
+	err = r.Walk(core.ReplayHooks{
+		// A placement of a datum the visit loads is filled from
+		// external memory.
+		Event: func(vi, slot int, ev *core.AllocEvent, load bool) error {
+			if !load {
+				return nil
+			}
+			id := r.Inst.Datum(int(ev.Inst))
+			datum, abs := a.DatumName(id), s.Visits[vi].Block*s.RF+r.Inst.Iter(int(ev.Inst))
+			if hooks.OnLoad != nil {
+				if err := hooks.OnLoad(datum, abs, a.SizeByID(id)); err != nil {
+					return fmt.Errorf("load of %s@%d: %w", datum, abs, err)
 				}
-				slot, err := instanceSlot(ev.Object)
-				if err != nil {
-					return err
+			}
+			data := ext[int(id)*extIters+abs]
+			if data == nil {
+				if !a.IsExternalInput(datum) {
+					return fmt.Errorf("load of %s@%d which was never stored", datum, abs)
 				}
-				data, err := extRead(ev.Datum, v.Block*s.RF+slot)
-				if err != nil {
-					return err
+				data = InputBytes(seed, datum, abs, a.SizeByID(id))
+				ext[int(id)*extIters+abs] = data
+			}
+			if len(data) != ev.Bytes {
+				return fmt.Errorf("%s: external size %d != placement %d", ev.Object, len(data), ev.Bytes)
+			}
+			copy(bytesOf(slot), data)
+			res.LoadedBytes += ev.Bytes
+			return nil
+		},
+		// Execute: loop fission order (each kernel runs all the visit's
+		// iterations back to back).
+		Step: func(vi, ki, iter int) error {
+			v := &s.Visits[vi]
+			k := a.Kernels[ki]
+			inputs := make(map[string][]byte, len(k.Inputs))
+			for _, id := range a.KernelInputIDs(ki) {
+				slot := r.Find(v.Set, r.Inst.Key(id, iter))
+				if slot < 0 {
+					return fmt.Errorf("kernel %s misses input %s#i%d (visit c%d b%d)",
+						k.Name, a.DatumName(id), iter, v.Cluster, v.Block)
 				}
-				if len(data) != ev.Bytes {
-					return fmt.Errorf("machine: %s: external size %d != placement %d", ev.Object, len(data), ev.Bytes)
+				inputs[a.DatumName(id)] = slices.Clone(bytesOf(slot))
+			}
+			outSizes := make(map[string]int, len(k.Outputs))
+			for _, out := range k.Outputs {
+				outSizes[out] = a.SizeOf(out)
+			}
+			outs, err := sem(k.Name, v.Block*s.RF+iter, inputs, outSizes)
+			if err != nil {
+				return fmt.Errorf("kernel %s: %w", k.Name, err)
+			}
+			for _, id := range a.KernelOutputIDs(ki) {
+				out := a.DatumName(id)
+				data, ok := outs[out]
+				if !ok || len(data) != a.SizeByID(id) {
+					return fmt.Errorf("kernel %s produced %d bytes for %s, want %d",
+						k.Name, len(data), out, a.SizeByID(id))
 				}
-				copy(fbs[ev.Set][ev.Addr:ev.Addr+ev.Bytes], data)
-				res.LoadedBytes += ev.Bytes
-			case core.OpRelease:
-				delete(placed, placeKey{ev.Set, ev.Object})
+				slot := r.Find(v.Set, r.Inst.Key(id, iter))
+				if slot < 0 {
+					return fmt.Errorf("no placement for output %s#i%d", out, iter)
+				}
+				copy(bytesOf(slot), data)
+			}
+			res.KernelRuns++
+			return nil
+		},
+		// Stores: copy results back to external memory.
+		Stores: func(vi int) error {
+			v := &s.Visits[vi]
+			for _, m := range v.Stores {
+				id := a.DatumID(m.Datum)
+				for iter := 0; iter < v.Iters; iter++ {
+					abs := v.Block*s.RF + iter
+					if hooks.OnStore != nil {
+						if err := hooks.OnStore(m.Datum, abs, a.SizeOf(m.Datum)); err != nil {
+							return fmt.Errorf("store of %s@%d: %w", m.Datum, abs, err)
+						}
+					}
+					slot := -1
+					if id >= 0 {
+						slot = r.Find(v.Set, r.Inst.Key(int32(id), iter))
+					}
+					if slot < 0 {
+						return fmt.Errorf("store of unplaced %s#i%d", m.Datum, iter)
+					}
+					ext[id*extIters+abs] = slices.Clone(bytesOf(slot))
+					res.StoredBytes += r.Placed(slot).Bytes
+				}
 			}
 			return nil
-		}
-
-		// Group the execution-phase events by (kernel, slot); pre-visit
-		// loading (Kernel == -1, Iter == -1) applies now, end-of-visit
-		// releases (Kernel == -1, Iter >= 0) apply after the stores.
-		type stepKey struct{ kernel, slot int }
-		stepEvents := map[stepKey][]core.AllocEvent{}
-		var post []core.AllocEvent
-		for _, ev := range evs {
-			switch {
-			case ev.Kernel >= 0:
-				k := stepKey{ev.Kernel, ev.Iter}
-				stepEvents[k] = append(stepEvents[k], ev)
-			case ev.Iter == -1:
-				if err := applyEvent(ev); err != nil {
-					return nil, err
-				}
-			default:
-				post = append(post, ev)
-			}
-		}
-
-		// Execute: loop fission order (each kernel runs all the
-		// visit's iterations back to back), with each step's
-		// placements and releases applied around it in replay order.
-		for _, ki := range s.P.Clusters[v.Cluster].Kernels {
-			k := a.Kernels[ki]
-			for slot := 0; slot < v.Iters; slot++ {
-				absIter := v.Block*s.RF + slot
-				// Allocations of this step (streamed inputs and the
-				// kernel's outputs) appear before it runs...
-				var stepReleases []core.AllocEvent
-				for _, ev := range stepEvents[stepKey{ki, slot}] {
-					if ev.Op == core.OpRelease {
-						stepReleases = append(stepReleases, ev)
-						continue
-					}
-					if err := applyEvent(ev); err != nil {
-						return nil, err
-					}
-				}
-				inputs := map[string][]byte{}
-				for _, in := range k.Inputs {
-					ev, ok := findPlacement(v.Set, instanceName(in, slot))
-					if !ok {
-						return nil, fmt.Errorf("machine: kernel %s misses input %s (visit c%d b%d)",
-							k.Name, instanceName(in, slot), v.Cluster, v.Block)
-					}
-					buf := make([]byte, ev.Bytes)
-					copy(buf, fbs[ev.Set][ev.Addr:ev.Addr+ev.Bytes])
-					inputs[in] = buf
-				}
-				outSizes := map[string]int{}
-				for _, out := range k.Outputs {
-					outSizes[out] = a.SizeOf(out)
-				}
-				outs, err := sem(k.Name, absIter, inputs, outSizes)
-				if err != nil {
-					return nil, fmt.Errorf("machine: kernel %s: %w", k.Name, err)
-				}
-				for _, out := range k.Outputs {
-					data, ok := outs[out]
-					if !ok || len(data) != a.SizeOf(out) {
-						return nil, fmt.Errorf("machine: kernel %s produced %d bytes for %s, want %d",
-							k.Name, len(data), out, a.SizeOf(out))
-					}
-					ev, ok := findPlacement(v.Set, instanceName(out, slot))
-					if !ok {
-						return nil, fmt.Errorf("machine: no placement for output %s", instanceName(out, slot))
-					}
-					copy(fbs[ev.Set][ev.Addr:ev.Addr+ev.Bytes], data)
-				}
-				res.KernelRuns++
-				// ...and its releases free space afterwards.
-				for _, ev := range stepReleases {
-					if err := applyEvent(ev); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-
-		// Stores: copy results back to external memory.
-		for _, m := range v.Stores {
-			for slot := 0; slot < v.Iters; slot++ {
-				inst := instanceName(m.Datum, slot)
-				if hooks.OnStore != nil {
-					if err := hooks.OnStore(m.Datum, v.Block*s.RF+slot, a.SizeOf(m.Datum)); err != nil {
-						return nil, fmt.Errorf("machine: store of %s@%d: %w", m.Datum, v.Block*s.RF+slot, err)
-					}
-				}
-				ev, ok := findPlacement(v.Set, inst)
-				if !ok {
-					return nil, fmt.Errorf("machine: store of unplaced %s", inst)
-				}
-				data := make([]byte, ev.Bytes)
-				copy(data, fbs[ev.Set][ev.Addr:ev.Addr+ev.Bytes])
-				ext[extKey{m.Datum, v.Block*s.RF + slot}] = data
-				res.StoredBytes += ev.Bytes
-			}
-		}
-
-		// End-of-visit releases (persistent results, retained spans).
-		for _, ev := range post {
-			if err := applyEvent(ev); err != nil {
-				return nil, err
-			}
-		}
+		},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("machine: %w", err)
 	}
 
-	res.Ext = make(map[string][]byte, len(ext))
-	for key, data := range ext {
-		res.Ext[fmt.Sprintf("%s@%d", key.datum, key.absIter)] = data
+	res.Ext = map[string][]byte{}
+	for k, data := range ext {
+		if data != nil {
+			res.Ext[a.DatumName(int32(k/extIters))+"@"+strconv.Itoa(k%extIters)] = data
+		}
 	}
 	return res, nil
-}
-
-func instanceName(datum string, slot int) string {
-	return fmt.Sprintf("%s#i%d", datum, slot)
-}
-
-// instanceSlot parses the iteration slot out of an instance name.
-func instanceSlot(inst string) (int, error) {
-	i := strings.LastIndex(inst, "#i")
-	if i < 0 {
-		return 0, fmt.Errorf("machine: malformed instance name %q", inst)
-	}
-	slot, err := strconv.Atoi(inst[i+2:])
-	if err != nil {
-		return 0, fmt.Errorf("machine: malformed instance name %q: %v", inst, err)
-	}
-	return slot, nil
 }

@@ -186,19 +186,6 @@ func TestInputBytesDeterministic(t *testing.T) {
 	}
 }
 
-// TestInstanceSlot parses canonical and malformed names.
-func TestInstanceSlot(t *testing.T) {
-	if s, err := instanceSlot("x#i12"); err != nil || s != 12 {
-		t.Errorf("instanceSlot(x#i12) = %d, %v", s, err)
-	}
-	if _, err := instanceSlot("nope"); err == nil {
-		t.Error("malformed name accepted")
-	}
-	if _, err := instanceSlot("x#ifoo"); err == nil {
-		t.Error("non-numeric slot accepted")
-	}
-}
-
 // TestEquivalenceOnSyntheticSeeds fuzzes the equivalence property.
 func TestEquivalenceOnSyntheticSeeds(t *testing.T) {
 	cfg := workloads.DefaultSynthetic()

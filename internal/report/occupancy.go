@@ -3,6 +3,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"cds/internal/core"
@@ -21,12 +22,15 @@ func Occupancy(w io.Writer, events []core.AllocEvent, set, fbBytes, cols int) {
 	const rows = 16
 	rowBytes := (fbBytes + rows - 1) / rows
 
-	// Collect the live intervals after each event on the set.
+	// Collect the live intervals after each event on the set, in
+	// placement order: a row that two intervals share shows the one
+	// placed first.
 	type interval struct {
+		inst       int32
 		addr, size int
 		datum      string
 	}
-	live := map[string]interval{}
+	var live []interval
 	var snapshots [][]interval
 	for _, ev := range events {
 		if ev.Set != set {
@@ -34,15 +38,11 @@ func Occupancy(w io.Writer, events []core.AllocEvent, set, fbBytes, cols int) {
 		}
 		switch ev.Op {
 		case core.OpAlloc:
-			live[ev.Object] = interval{addr: ev.Addr, size: ev.Bytes, datum: ev.Datum}
+			live = append(live, interval{inst: ev.Inst, addr: ev.Addr, size: ev.Bytes, datum: ev.Datum})
 		case core.OpRelease:
-			delete(live, ev.Object)
+			live = slices.DeleteFunc(live, func(iv interval) bool { return iv.inst == ev.Inst })
 		}
-		snap := make([]interval, 0, len(live))
-		for _, iv := range live {
-			snap = append(snap, iv)
-		}
-		snapshots = append(snapshots, snap)
+		snapshots = append(snapshots, slices.Clone(live))
 	}
 	if len(snapshots) == 0 {
 		fmt.Fprintf(w, "no events on set %d\n", set)

@@ -95,10 +95,10 @@ func TestFormatSize(t *testing.T) {
 
 func TestOccupancyRendering(t *testing.T) {
 	events := []core.AllocEvent{
-		{Op: core.OpAlloc, Set: 0, Object: "d#i0", Datum: "d", Addr: 900, Bytes: 100},
-		{Op: core.OpAlloc, Set: 0, Object: "r#i0", Datum: "r", Addr: 0, Bytes: 64},
-		{Op: core.OpRelease, Set: 0, Object: "d#i0", Datum: "d", Addr: 900, Bytes: 100},
-		{Op: core.OpAlloc, Set: 1, Object: "x#i0", Datum: "x", Addr: 0, Bytes: 10},
+		{Op: core.OpAlloc, Set: 0, Object: "d#i0", Datum: "d", Inst: 0, Addr: 900, Bytes: 100},
+		{Op: core.OpAlloc, Set: 0, Object: "r#i0", Datum: "r", Inst: 1, Addr: 0, Bytes: 64},
+		{Op: core.OpRelease, Set: 0, Object: "d#i0", Datum: "d", Inst: 0, Addr: 900, Bytes: 100},
+		{Op: core.OpAlloc, Set: 1, Object: "x#i0", Datum: "x", Inst: 2, Addr: 0, Bytes: 10},
 	}
 	var b strings.Builder
 	Occupancy(&b, events, 0, 1024, 8)
@@ -130,6 +130,21 @@ func TestOccupancyRendering(t *testing.T) {
 	Occupancy(&empty, nil, 3, 1024, 8)
 	if !strings.Contains(empty.String(), "no events") {
 		t.Error("empty set not reported")
+	}
+
+	// Two placements share the lowest row: it shows the one placed
+	// first, every time.
+	shared := []core.AllocEvent{
+		{Op: core.OpAlloc, Set: 0, Object: "p#i0", Datum: "p", Inst: 0, Addr: 0, Bytes: 8},
+		{Op: core.OpAlloc, Set: 0, Object: "q#i0", Datum: "q", Inst: 1, Addr: 8, Bytes: 8},
+	}
+	for i := 0; i < 20; i++ {
+		var sb strings.Builder
+		Occupancy(&sb, shared, 0, 1024, 8)
+		lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+		if row := lines[len(lines)-1]; !strings.HasSuffix(row, "|pp") {
+			t.Fatalf("shared row %q, want the first placement p in both columns", row)
+		}
 	}
 }
 

@@ -6,95 +6,42 @@ import (
 	"testing"
 
 	"cds/internal/app"
-	"cds/internal/arch"
 	"cds/internal/core"
 )
 
-// TestInstanceSlotStrict pins strict slot parsing: each name below is one
-// a lenient scanner accepts ("tile#i3x" and "tile#i 3" as 3, "tile#i0x1f"
-// as 0, "tile#i-1" as -1), and each is a liveness violation, as are a
-// slot past the visit's iterations and a datum the app does not have.
+// TestInstanceSlotStrict pins the instance-key range check: an event
+// whose key is outside the schedule's key space, or names an iteration
+// its visit does not run, is a liveness violation. Here visit 0 runs 2
+// iterations and visit 1 runs 4, so the key space holds iterations 2 and
+// 3 of every datum, but visit 0 has none of them.
 func TestInstanceSlotStrict(t *testing.T) {
-	a := app.NewBuilder("slots", 4).Datum("tile", 8).Datum("out", 8)
+	a := app.NewBuilder("slots", 6).Datum("tile", 8).Datum("out", 8)
 	a.Kernel("k", 16, 10).In("tile").Out("out")
 	s := &core.Schedule{
 		P:      app.MustPartition(a.MustBuild(), 1, 1),
-		Visits: []core.Visit{{Iters: 4}},
+		RF:     4,
+		Visits: []core.Visit{{Iters: 2}, {Block: 1, Iters: 4}},
 	}
-	tabs := tablesOf(s, &core.AllocationReport{})
-	for _, name := range []string{"tile#i3x", "tile#i 3", "tile#i0x1f", "tile#i-1", "tile#i4", "tile", "ghost#i0"} {
-		_, _, err := tabs.locate(&core.AllocEvent{Object: name}, 4)
+	in := core.InstancesOf(s)
+	tile := int32(s.P.App.DatumID("tile"))
+	check := func(set, key int) error {
+		rep := &core.AllocationReport{Events: []core.AllocEvent{
+			{Op: core.OpAlloc, Set: set, Object: "tile", Datum: "tile", Bytes: 8, Inst: int32(key), Iter: -1, Kernel: -1},
+		}}
+		return checkLiveness(s, rep)
+	}
+	for _, key := range []int{in.Key(tile, 2), in.Key(tile, 3), -1, in.Len()} {
+		err := check(0, key)
 		wantViolation(t, err, "liveness")
-		if !strings.Contains(err.Error(), "malformed instance name") {
-			t.Errorf("locate(%q): %v", name, err)
+		if !strings.Contains(err.Error(), "names no instance of the visit's 2 iterations") {
+			t.Errorf("key %d: %v", key, err)
 		}
 	}
-	key, _, err := tabs.locate(&core.AllocEvent{Object: "tile#i3"}, 4)
-	if err != nil || tabs.inst.Iter(key) != 3 {
-		t.Errorf("locate(tile#i3) = key %d, %v; want iteration 3", key, err)
+	if err := check(-1, in.Key(tile, 0)); err == nil || !strings.Contains(err.Error(), "names no instance") {
+		t.Errorf("negative set: %v", err)
 	}
-}
-
-// crossSetSchedule is three one-kernel clusters. Visit 0 (set 2) loads
-// x; visit 1 (set 1) places x without loading it; visit 2 (set 0) reads
-// x, which is live only on sets 1 and 2. writtenOnLow swaps the two
-// placements, so the written copy sits on set 1 instead.
-func crossSetSchedule(t *testing.T, writtenOnLow bool) (*core.Schedule, *core.AllocationReport) {
-	t.Helper()
-	b := app.NewBuilder("xset", 1).Datum("x", 8).Datum("w", 8).
-		Datum("a", 8).Datum("b", 8).Datum("c", 8)
-	b.Kernel("kA", 16, 10).In("x").Out("a")
-	b.Kernel("kB", 16, 10).In("w").Out("b")
-	b.Kernel("kC", 16, 10).In("x").Out("c")
-	a, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadSet, placeSet := 2, 1
-	if writtenOnLow {
-		loadSet, placeSet = 1, 2
-	}
-	s := &core.Schedule{
-		Arch: arch.M1(),
-		P:    app.MustPartition(a, 3, 1, 1, 1),
-		RF:   1,
-		Visits: []core.Visit{
-			{Cluster: 0, Set: loadSet, Iters: 1, Loads: []core.Movement{{Datum: "x", Bytes: 8}}},
-			{Cluster: 1, Set: placeSet, Iters: 1, Loads: []core.Movement{{Datum: "w", Bytes: 8}}},
-			{Cluster: 2, Set: 0, Iters: 1},
-		},
-	}
-	ev := func(op core.AllocOp, set int, obj, datum string, cluster, kernel, iter int) core.AllocEvent {
-		return core.AllocEvent{Op: op, Set: set, Object: obj, Datum: datum, Bytes: 8,
-			Cluster: cluster, Kernel: kernel, Iter: iter}
-	}
-	rep := &core.AllocationReport{Events: []core.AllocEvent{
-		ev(core.OpAlloc, loadSet, "x#i0", "x", 0, -1, -1),
-		ev(core.OpAlloc, loadSet, "a#i0", "a", 0, 0, 0),
-		ev(core.OpAlloc, placeSet, "x#i0", "x", 1, -1, -1),
-		ev(core.OpAlloc, placeSet, "w#i0", "w", 1, -1, -1),
-		ev(core.OpAlloc, placeSet, "b#i0", "b", 1, 1, 0),
-		ev(core.OpAlloc, 0, "c#i0", "c", 2, 2, 0),
-	}}
-	return s, rep
-}
-
-// TestCrossSetLookupLowestSet pins the cross-set lookup: a kernel reading
-// an instance absent from its own set sees the copy on the lowest set
-// index. With the unwritten copy there the read is a violation, every
-// time; with the written copy there it is clean.
-func TestCrossSetLookupLowestSet(t *testing.T) {
-	for i := 0; i < 20; i++ {
-		s, rep := crossSetSchedule(t, false)
-		err := checkLiveness(s, rep)
-		wantViolation(t, err, "liveness")
-		if !strings.Contains(err.Error(), "kernel kC reads x#i0 which was never written") {
-			t.Fatalf("err = %v, want kC's read of the unwritten set-1 copy", err)
-		}
-		s, rep = crossSetSchedule(t, true)
-		if err := checkLiveness(s, rep); err != nil {
-			t.Fatalf("written copy on the lowest set: %v", err)
-		}
+	if err := check(0, in.Key(tile, 1)); err == nil || strings.Contains(err.Error(), "names no instance") {
+		t.Errorf("key of iteration 1 rejected: %v", err)
 	}
 }
 

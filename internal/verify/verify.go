@@ -33,10 +33,12 @@
 // itself (never trusting a caller's report) and shares that one replay
 // among the capacity, liveness and residency checks, the last through
 // codegen.GenerateFrom. Serialization and timeline are both checked
-// against one traced simulation (sim.Trace). The checkers resolve each
-// replay event's instance from its Object name to a dense key
-// (core.Instances) and keep per-instance state in flat tables, so no
-// instance name is formatted or hashed per event.
+// against one traced simulation (sim.Trace). The checkers key
+// per-instance state by each replay event's dense instance key
+// (AllocEvent.Inst) in flat tables, so no instance name is parsed,
+// formatted or hashed per event. Liveness runs on core.Replay, the one
+// execution-order walk of the replay that the functional machine
+// (internal/machine) also runs on.
 //
 // All violations match scherr.ErrVerify under errors.Is.
 package verify
@@ -116,63 +118,29 @@ func Schedule(s *core.Schedule) error {
 	return nil
 }
 
-// replayTables sizes the checkers' dense tables: one entry per datum
-// instance (core.Instances) and FB set. Instances are named in the
-// replay's events; the checkers never hash those names.
-type replayTables struct {
-	inst core.Instances
-	// sets is one more than the largest set a visit or event names.
-	sets int
-}
-
-func tablesOf(s *core.Schedule, rep *core.AllocationReport) replayTables {
-	t := replayTables{inst: core.InstancesOf(s)}
-	for _, v := range s.Visits {
-		t.sets = max(t.sets, v.Set+1)
-	}
-	for i := range rep.Events {
-		t.sets = max(t.sets, rep.Events[i].Set+1)
-	}
-	return t
-}
-
-// locate resolves an event to its instance key and to its slot in a
-// per-set table (set × instances + key). The event's object must be a
-// canonical instance name (core.ParseInstance) of a datum of the
-// application with an iteration in [0, iters). Event sets are never
-// negative: the replay places on cluster sets, which ValidateSchedule
-// checked.
-func (t replayTables) locate(ev *core.AllocEvent, iters int) (key, slot int, err error) {
-	key, ok := t.inst.Parse(ev.Object)
-	if !ok || t.inst.Iter(key) >= iters {
-		return 0, 0, violated("liveness", "malformed instance name %q: want <datum>#i<slot> with slot in [0,%d)", ev.Object, iters)
-	}
-	return key, ev.Set*t.inst.Len() + key, nil
-}
-
 // checkCapacity replays the allocation events and asserts that live
 // bytes never exceed the set capacity, placements stay inside the set
 // and (absent splitting) no two live placements overlap.
 func checkCapacity(s *core.Schedule, rep *core.AllocationReport) error {
 	cap := s.Arch.FBSetBytes
-	t := tablesOf(s, rep)
+	r := core.NewReplay(s, rep)
 	// live[slot] is the index of the event that placed the instance on
 	// the set, or -1.
-	live := make([]int32, t.sets*t.inst.Len())
+	live := make([]int32, r.Slots())
 	for i := range live {
 		live[i] = -1
 	}
-	used := make([]int, t.sets)
+	used := make([]int, r.Sets)
 	// byAddr[set] lists the set's live placements in address order.
 	// Without splitting they are disjoint, so a new placement can only
 	// overlap its neighbours in that order.
-	byAddr := make([][]int32, t.sets)
+	byAddr := make([][]int32, r.Sets)
 	addrOf := func(e int32, addr int) int { return cmp.Compare(rep.Events[e].Addr, addr) }
 	for i := range rep.Events {
 		ev := &rep.Events[i]
-		_, slot, err := t.locate(ev, t.inst.Iters)
-		if err != nil {
-			return err
+		slot := r.Slot(ev)
+		if slot < 0 {
+			return violated("capacity", "event %d: %s of %q on set %d names no instance of the schedule", i, ev.Op, ev.Object, ev.Set)
 		}
 		switch ev.Op {
 		case core.OpAlloc:
