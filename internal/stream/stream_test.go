@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"cds/internal/core"
@@ -198,6 +199,40 @@ func TestSegmentKeyContentOnly(t *testing.T) {
 	pb.CMWords *= 2
 	if b := segmentKey(pb, lg.Iterations, &lg.Segments[1]); a == b {
 		t.Error("machine change did not move the segment fingerprint")
+	}
+}
+
+// The segment fingerprints of one generated arrival scenario are pinned
+// in hex: the canonical encoding (and so every memo key a long-lived
+// planner or a peer ever saw) must not drift when the code behind it is
+// reorganized.
+func TestSegmentKeyPinned(t *testing.T) {
+	want := []string{
+		"acda5c89ca89c3a2721d723acb9d113efe5a7fcdeea8f76a8588336412be8800",
+		"126d9e1ad4aae0862b748ac57d0a31ffad698c0f1d6317d3b598acc073c0c8a4",
+		"be03b50908e5cc47f5ff7950409ae817cbc86fda78bacef260175df3a89af1a0",
+		"63962a23036188edcd47fffa52b10225313d3d9ac4c216f853ca6a8b285cf7b4",
+		"d088478b8de5935e530ba72a87a7cca836dfef8b4481456a27987146ffa8ec33",
+		"677e191642aebead2f023c57066b0691f09f916467d6cf27bde5bfca0324d526",
+		"46ae23a925e5c9aa2e8b34af690ca688bf8815ad3a98edd4cad5d9e8690c51a6",
+		"3aab35da9ddef5fe306607a9c1eeab144383fc3248e7e98299e674e2fed917a9",
+		"c244ddf3c894d0a49490d31e2b93498d4a5932002b2a2f65eb20c18137349139",
+		"6a139318829983432ac6171ae519c1e4a69d03bb040c9a34fe35ae12b0334367",
+		"fed16947b8df807d04c957af6e62bb96f427e14d1950882096384ee04fe403b6",
+	}
+	a := workloads.GenArrivals(1, 0)
+	lg, err := Split(a.Spec, a.SegClusters, a.ArriveAt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lg.Segments) != len(want) {
+		t.Fatalf("%s split into %d segments, want %d", a.Name, len(lg.Segments), len(want))
+	}
+	pa := lg.Params()
+	for i := range lg.Segments {
+		if got := fmt.Sprintf("%x", segmentKey(pa, lg.Iterations, &lg.Segments[i])); got != want[i] {
+			t.Errorf("%s: fingerprint %s, want %s", lg.SegmentName(i), got, want[i])
+		}
 	}
 }
 
