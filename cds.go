@@ -23,7 +23,6 @@ package cds
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"cds/internal/app"
@@ -145,6 +144,13 @@ func RunCtx(ctx context.Context, kind SchedulerKind, pa Arch, part *Part) (*Resu
 	if err != nil {
 		return nil, err
 	}
+	return run(ctx, sched, pa, part)
+}
+
+// run is the one schedule → allocate → simulate pipeline, under an
+// explicit scheduler (the fault-injection seam in compareAll passes a
+// substitute one).
+func run(ctx context.Context, sched core.Scheduler, pa Arch, part *Part) (*Result, error) {
 	s, err := sched.ScheduleCtx(ctx, pa, part)
 	if err != nil {
 		return nil, err
@@ -241,10 +247,10 @@ func CompareAll(pa Arch, part *Part) (*Comparison, error) {
 // ComparisonKey): re-posing a solved (arch, partition) point returns
 // the cached *Comparison — shared and immutable, like the analysis Info
 // — in O(hash). Only clean outcomes are cached; errors (including
-// cancellation) always recompute. SetResultCaching(false) restores the
-// uncached pipeline.
+// cancellation) always recompute. SetResultCaching(false) (or
+// rescache.SetEnabled(false)) restores the uncached pipeline.
 func CompareAllCtx(ctx context.Context, pa Arch, part *Part) (*Comparison, error) {
-	if !cachingEnabled.Load() || !rescache.Enabled() {
+	if !rescache.Enabled() {
 		return compareAll(ctx, pa, part, nil)
 	}
 	return CompareAllKeyed(ctx, pa, part, ComparisonKey(pa, part))
@@ -257,25 +263,12 @@ func CompareAllCtx(ctx context.Context, pa Arch, part *Part) (*Comparison, error
 // BenchmarkCompareAllKeyedHit pins the saving. key MUST equal
 // ComparisonKey(pa, part); anything else poisons the result cache.
 func CompareAllKeyed(ctx context.Context, pa Arch, part *Part, key rescache.Key) (*Comparison, error) {
-	if !cachingEnabled.Load() || !rescache.Enabled() {
+	if !rescache.Enabled() {
 		return compareAll(ctx, pa, part, nil)
 	}
-	// A dead context must report cancellation, not a cache hit: callers
-	// distinguish "answered" from "gave up" by the error.
-	if err := scherr.FromContext(ctx); err != nil {
-		return nil, err
-	}
-	v := comparisonCache.Do(key, func() (any, bool) {
-		cmp, err := compareAll(ctx, pa, part, nil)
-		return compareOutcome{cmp, err}, err == nil
+	return comparisonCache.Do(ctx, key, func() (*Comparison, error) {
+		return compareAll(ctx, pa, part, nil)
 	})
-	o := v.(compareOutcome)
-	if o.err != nil && errors.Is(o.err, scherr.ErrCanceled) && scherr.FromContext(ctx) == nil {
-		// The singleflight leader's context died, not ours: its
-		// cancellation must not poison this caller. Compute directly.
-		return compareAll(ctx, pa, part, nil)
-	}
-	return o.cmp, o.err
 }
 
 // compareAll is the seam CompareAllCtx runs through. override, when
@@ -294,17 +287,16 @@ func compareAll(ctx context.Context, pa Arch, part *Part, override func(Schedule
 	// contained per job by conc.Safe.
 	ferr := conc.ForEach(ctx, conc.DefaultLimit(), len(kinds), func(i int) error {
 		errs[i] = conc.Safe(func() error {
-			var r *Result
-			var err error
-			if override != nil {
-				if sched := override(kinds[i]); sched != nil {
-					r, err = runScheduler(ctx, sched, pa, part)
-				} else {
-					r, err = RunCtx(ctx, kinds[i], pa, part)
-				}
-			} else {
-				r, err = RunCtx(ctx, kinds[i], pa, part)
+			sched, err := kinds[i].scheduler()
+			if err != nil {
+				return err
 			}
+			if override != nil {
+				if o := override(kinds[i]); o != nil {
+					sched = o
+				}
+			}
+			r, err := run(ctx, sched, pa, part)
 			if err != nil {
 				return err
 			}
@@ -355,24 +347,6 @@ func compareAll(ctx context.Context, pa Arch, part *Part, override func(Schedule
 		return cmp, cmp.CDSErr
 	}
 	return cmp, nil
-}
-
-// runScheduler runs an explicit core.Scheduler through the same
-// allocate-and-simulate pipeline as RunCtx.
-func runScheduler(ctx context.Context, sched core.Scheduler, pa Arch, part *Part) (*Result, error) {
-	s, err := sched.ScheduleCtx(ctx, pa, part)
-	if err != nil {
-		return nil, err
-	}
-	alloc, err := core.Allocate(s, true)
-	if err != nil {
-		return nil, err
-	}
-	timing, err := sim.Run(s)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Schedule: s, Timing: timing, Allocation: alloc}, nil
 }
 
 func schedulerLongName(k SchedulerKind) string {

@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// LookupComparison is the (arch, partition)-addressed lookup the cache
+// tests read through: LookupComparisonByKey under ComparisonKey.
+func LookupComparison(pa Arch, part *Part) (*Comparison, bool) {
+	return LookupComparisonByKey(ComparisonKey(pa, part))
+}
+
 func facadePartition(t *testing.T) *Part {
 	t.Helper()
 	b := NewApp("facade", 8).

@@ -288,6 +288,12 @@ type bufferedResponse struct {
 	body   []byte
 }
 
+// forwardHeaders are the client request headers a worker needs: the
+// body's type and, for a tenant-mode worker, the tenant the request is
+// admitted under (the Idempotency-Key is set separately — the router
+// mints one when the client sent none).
+var forwardHeaders = []string{"Content-Type", serve.TenantHeader}
+
 // relayHeaders are the worker headers worth forwarding to the client.
 var relayHeaders = []string{
 	"Content-Type", "Retry-After", "Idempotency-Replayed", "Server-Timing", "Schedd-Worker",
@@ -314,8 +320,10 @@ func (rt *Router) tryWorker(r *http.Request, addr string, body []byte, idemKey s
 	if err != nil {
 		return nil, err
 	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
+	for _, h := range forwardHeaders {
+		if v := r.Header.Get(h); v != "" {
+			req.Header.Set(h, v)
+		}
 	}
 	if idemKey != "" {
 		req.Header.Set("Idempotency-Key", idemKey)

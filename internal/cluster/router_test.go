@@ -198,6 +198,45 @@ func TestRouterRoutesToRingOwner(t *testing.T) {
 	}
 }
 
+// TestRouterForwardsTenant: a compare sent through the router to a
+// tenant-mode worker carries its X-Tenant header; without it the worker
+// rejects every request with 400 unknown_tenant.
+func TestRouterForwardsTenant(t *testing.T) {
+	tenants, err := serve.ParseTenants("video;radar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := serve.New(serve.Config{WorkerID: "w0", Tenants: tenants})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(l)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	})
+	fleet := NewFleet(FleetConfig{
+		Workers:       []Member{{ID: "w0", Addr: l.Addr().String()}},
+		ProbeInterval: 10 * time.Millisecond,
+		ProbeTimeout:  200 * time.Millisecond,
+		Seed:          1,
+	})
+	fleet.Start()
+	t.Cleanup(fleet.Stop)
+	waitFor(t, "fleet ready", 2*time.Second, func() bool { return fleet.EligibleCount() == 1 })
+	srv := routerFor(t, fleet)
+
+	resp, data := postJSON(t, srv.URL+"/v1/compare", `{"workload":"MPEG"}`, map[string]string{"X-Tenant": "video"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("tenant compare through the router = %d: %s", resp.StatusCode, data)
+	}
+	if got := resp.Header.Get(serve.WorkerHeader); got != "w0" {
+		t.Fatalf("served by %q, want w0", got)
+	}
+}
+
 func TestRouterFailoverReusesIdempotencyKey(t *testing.T) {
 	ws := []*fakeWorker{newFakeWorker(t, "w0"), newFakeWorker(t, "w1"), newFakeWorker(t, "w2")}
 	fleet := fastFleet(t, ws...)

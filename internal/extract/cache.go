@@ -15,12 +15,10 @@ package extract
 // sound where the previous pointer-identity key merely happened to work.
 
 import (
-	"container/list"
-	"expvar"
-	"sync"
-	"sync/atomic"
+	"context"
 
 	"cds/internal/app"
+	"cds/internal/rescache"
 )
 
 // cacheKey identifies one analysis: the partition's content fingerprint
@@ -30,93 +28,29 @@ type cacheKey struct {
 	opts Opts
 }
 
-// cacheEntry carries the memoized Info behind a sync.Once so concurrent
-// first callers of the same key share a single computation
-// (singleflight) instead of racing to analyze N times.
-type cacheEntry struct {
-	once sync.Once
-	info *Info
-}
-
-// analysisCache is a bounded memoization table with FIFO eviction. The
-// bound keeps long-lived processes that sweep over many generated
-// partitions from pinning every partition ever analyzed.
-type analysisCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[cacheKey]*cacheEntry
-	order   *list.List // of cacheKey, oldest first
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-}
-
-// defaultCacheSize is generous for any realistic design-space run: a
-// sweep touches one partition per workload, not thousands.
-const defaultCacheSize = 512
-
-var cache = &analysisCache{
-	max:     defaultCacheSize,
-	entries: make(map[cacheKey]*cacheEntry),
-	order:   list.New(),
-}
-
-func init() {
-	// One process-wide snapshot under /debug/vars; expvar.Publish panics
-	// on duplicate names, so this must happen exactly once (package init).
-	expvar.Publish("extract.analysis_cache", expvar.Func(func() any {
-		hits, misses, evictions := CacheStats()
-		return map[string]int64{
-			"hits":      hits,
-			"misses":    misses,
-			"evictions": evictions,
-			"entries":   int64(CacheLen()),
-		}
-	}))
-}
-
-func (c *analysisCache) get(p *app.Partition, opts Opts) *Info {
-	key := cacheKey{p.Fingerprint(), opts}
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		c.misses.Add(1)
-		e = &cacheEntry{}
-		c.entries[key] = e
-		c.order.PushBack(key)
-		for c.order.Len() > c.max {
-			oldest := c.order.Remove(c.order.Front()).(cacheKey)
-			delete(c.entries, oldest)
-			c.evictions.Add(1)
-		}
-	} else {
-		c.hits.Add(1)
-	}
-	c.mu.Unlock()
-	// Compute outside the lock: other keys proceed concurrently, and
-	// concurrent callers of THIS key block only on its Once.
-	e.once.Do(func() { e.info = AnalyzeWithOpts(p, opts) })
-	return e.info
-}
+// analyses is the bounded LRU + singleflight memo behind AnalyzeCached.
+// The bound — generous for any realistic design-space run, which
+// touches one partition per workload, not thousands — keeps long-lived
+// processes that sweep over many generated partitions from pinning
+// every partition ever analyzed. Its counters are published under the
+// "rescache" expvar as "extract.analysis". It is always on: the
+// process-wide result-caching switch does not reach it.
+var analyses = rescache.New[cacheKey, *Info]("extract.analysis", 512)
 
 // AnalyzeCached returns the memoized analysis for the partition under the
 // given options, computing it at most once per (fingerprint, Opts) pair.
 // The returned Info is shared: treat it as read-only (every Info already
 // is — see the package comment above).
 func AnalyzeCached(p *app.Partition, opts Opts) *Info {
-	return cache.get(p, opts)
+	info, _ := analyses.Do(context.Background(), cacheKey{p.Fingerprint(), opts}, func() (*Info, error) {
+		return AnalyzeWithOpts(p, opts), nil
+	})
+	return info
 }
 
 // CacheLen reports how many analyses are currently memoized (tests).
-func CacheLen() int {
-	cache.mu.Lock()
-	defer cache.mu.Unlock()
-	return len(cache.entries)
-}
+func CacheLen() int { return analyses.Len() }
 
 // CacheStats reports cumulative hit/miss/eviction counts. Also exported
-// to expvar as "extract.analysis_cache".
-func CacheStats() (hits, misses, evictions int64) {
-	return cache.hits.Load(), cache.misses.Load(), cache.evictions.Load()
-}
+// under the "rescache" expvar as "extract.analysis".
+func CacheStats() (hits, misses, evictions int64) { return analyses.Stats() }

@@ -1,8 +1,6 @@
 package extract
 
 import (
-	"container/list"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -70,33 +68,6 @@ func TestAnalyzeCachedSingleflight(t *testing.T) {
 		if results[g] != results[0] {
 			t.Fatalf("goroutine %d got a different Info", g)
 		}
-	}
-}
-
-// TestCacheEviction exercises the FIFO bound on a small private cache:
-// old entries fall out, the table never exceeds max.
-func TestCacheEviction(t *testing.T) {
-	c := &analysisCache{
-		max:     2,
-		entries: make(map[cacheKey]*cacheEntry),
-		order:   list.New(),
-	}
-	parts := make([]*app.Partition, 4)
-	infos := make([]*Info, 4)
-	for i := range parts {
-		parts[i] = cachePart(t, fmt.Sprintf("evict%d", i))
-		infos[i] = c.get(parts[i], Opts{})
-	}
-	if n := len(c.entries); n != 2 {
-		t.Fatalf("cache holds %d entries, want max 2", n)
-	}
-	// The two oldest were evicted: re-getting computes a fresh Info.
-	if c.get(parts[0], Opts{}) == infos[0] {
-		t.Error("evicted entry still memoized")
-	}
-	// The newest survives: same pointer comes back.
-	if c.get(parts[3], Opts{}) != infos[3] {
-		t.Error("resident entry recomputed")
 	}
 }
 

@@ -1,6 +1,7 @@
 package rescache
 
 import (
+	"context"
 	"expvar"
 	"strings"
 	"testing"
@@ -15,8 +16,8 @@ import (
 // every cache must appear in the published snapshot.
 func TestExpvarOncePerProcess(t *testing.T) {
 	// Each New would panic the process here if it re-Published.
-	a := New("expvar.a", 4)
-	b := New("expvar.b", 4)
+	a := New[Key, int]("expvar.a", 4)
+	b := New[Key, int]("expvar.b", 4)
 
 	v := expvar.Get("rescache")
 	if v == nil {
@@ -24,9 +25,10 @@ func TestExpvarOncePerProcess(t *testing.T) {
 	}
 
 	key := KeyOf(arch.M1(), testPart(t, "expvar", 64), "expvar-test")
-	a.Do(key, func() (any, bool) { return 1, true })
-	a.Do(key, func() (any, bool) { return 2, true })
-	b.Do(key, func() (any, bool) { return 3, true })
+	ctx := context.Background()
+	a.Do(ctx, key, func() (int, error) { return 1, nil })
+	a.Do(ctx, key, func() (int, error) { return 2, nil })
+	b.Do(ctx, key, func() (int, error) { return 3, nil })
 
 	out := v.String()
 	for _, want := range []string{`"expvar.a"`, `"expvar.b"`, "hits", "misses"} {
@@ -43,7 +45,7 @@ func TestExpvarOncePerProcess(t *testing.T) {
 // fleet peer counts under peer_fills, never as a local hit — the local
 // hit/miss counters keep describing only this cache's own contents.
 func TestPeerFillAccounting(t *testing.T) {
-	c := New("expvar.peer", 4)
+	c := New[Key, int]("expvar.peer", 4)
 	key := KeyOf(arch.M1(), testPart(t, "peer", 64), "peer-test")
 
 	// A local lookup that misses, then is satisfied by a peer.
@@ -67,5 +69,25 @@ func TestPeerFillAccounting(t *testing.T) {
 	out := expvar.Get("rescache").String()
 	if !strings.Contains(out, "peer_fills") {
 		t.Errorf("expvar snapshot missing peer_fills: %s", out)
+	}
+}
+
+// TestUnnamedCacheUnregistered: an unnamed cache stays out of the
+// process-wide registry, so a cache owned by a short-lived value is
+// collected with it instead of being pinned (and reported) forever.
+func TestUnnamedCacheUnregistered(t *testing.T) {
+	registryMu.Lock()
+	before := len(registry)
+	registryMu.Unlock()
+	c := New[Key, int]("", 4)
+	c.Do(context.Background(), Key{}, func() (int, error) { return 1, nil })
+	registryMu.Lock()
+	after := len(registry)
+	registryMu.Unlock()
+	if after != before {
+		t.Errorf("unnamed cache registered: registry %d -> %d", before, after)
+	}
+	if _, ok := Snapshot()[""]; ok {
+		t.Error("Snapshot reports an unnamed cache")
 	}
 }

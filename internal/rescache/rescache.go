@@ -1,75 +1,92 @@
-// Package rescache is a fingerprint-keyed result cache for full
-// scheduler outcomes. The paper's evaluation — and the ROADMAP's schedd
-// workload — re-runs identical (arch, partition) comparison points by
-// construction: design-space sweeps revisit grid points, retried
-// requests re-pose the same spec, and batch grids cross few archs with
-// few workloads. Every scheduler in this module is a pure function of
-// the spec, so a comparison computed once is a comparison computed
-// forever; this cache keys on deterministic content fingerprints (see
-// KeyOf) and makes re-posing a solved point O(hash).
+// Package rescache is the module's one content-addressed memo. The
+// paper's evaluation — and the ROADMAP's schedd workload — re-runs
+// identical (arch, partition) points by construction: design-space
+// sweeps revisit grid points, retried requests re-pose the same spec,
+// batch grids cross few archs with few workloads, and a stream replan
+// re-poses every unchanged segment. The Information Extractor's
+// analysis and every scheduler are pure functions of the spec, so an
+// outcome computed once is an outcome computed forever; a Cache keys on
+// deterministic content fingerprints (see KeyOf and AppendMachine) and
+// makes re-posing a solved spec O(hash).
 //
-// Each cache combines a bounded LRU with per-key singleflight:
+// Each Cache combines a bounded LRU with per-key singleflight:
 // concurrent first requesters of one key share a single computation,
 // and the bound keeps long-lived daemons from pinning every spec ever
 // seen. A process-wide expvar ("rescache") snapshots hit/miss/eviction
-// counters for every cache.
+// counters for every named cache.
 package rescache
 
 import (
 	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"expvar"
 	"sync"
 	"sync/atomic"
 
 	"cds/internal/app"
 	"cds/internal/arch"
+	"cds/internal/scherr"
 )
 
 // Key is a content fingerprint: what a cached value is a pure function
-// of. Build it with KeyOf.
+// of. Build it with KeyOf, or as the SHA-256 of an encoding built with
+// the Append helpers below for other spec shapes.
 type Key [32]byte
+
+// The Append helpers write the canonical encoding every content key in
+// this module uses: uvarint numbers and length-prefixed strings, under
+// a domain-versioned prefix string. They append to a caller's buffer —
+// usually a stack array — so building a key does not allocate.
+
+// AppendNum appends one integer.
+func AppendNum(b []byte, v int) []byte { return binary.AppendUvarint(b, uint64(int64(v))) }
+
+// AppendStr appends one length-prefixed string.
+func AppendStr(b []byte, s string) []byte { return append(AppendNum(b, len(s)), s...) }
+
+// AppendFlag appends one boolean.
+func AppendFlag(b []byte, v bool) []byte {
+	if v {
+		return AppendNum(b, 1)
+	}
+	return AppendNum(b, 0)
+}
+
+// AppendMachine appends every arch.Params field: any machine change —
+// FB set size, CM capacity, bus width, geometry — is a different key.
+func AppendMachine(b []byte, pa arch.Params) []byte {
+	b = AppendStr(b, pa.Name)
+	for _, v := range [...]int{pa.FBSetBytes, pa.FBSets, pa.CMWords, pa.BusBytes,
+		pa.DMASetupCycles, pa.CtxWordBytes, pa.Rows, pa.Cols} {
+		b = AppendNum(b, v)
+	}
+	return b
+}
 
 // KeyOf fingerprints a (machine, partition) pair plus a caller tag that
 // names (and versions) the computation, e.g. "compare-all/v1". Distinct
 // tags never collide, so many result kinds can share one cache.
 //
-// Every Params field enters the hash: any machine change — FB set size,
-// CM capacity, bus width, geometry — is a different key. The partition
+// Every Params field enters the hash (see AppendMachine). The partition
 // contributes its canonical content fingerprint, so structurally equal
 // specs hit regardless of pointer identity.
 func KeyOf(pa arch.Params, part *app.Partition, tag string) Key {
-	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
-	num := func(v int) {
-		n := binary.PutUvarint(buf[:], uint64(int64(v)))
-		h.Write(buf[:n])
-	}
-	str := func(s string) {
-		num(len(s))
-		h.Write([]byte(s))
-	}
-	str("cds/rescache/v1")
-	str(tag)
-	str(pa.Name)
-	num(pa.FBSetBytes)
-	num(pa.FBSets)
-	num(pa.CMWords)
-	num(pa.BusBytes)
-	num(pa.DMASetupCycles)
-	num(pa.CtxWordBytes)
-	num(pa.Rows)
-	num(pa.Cols)
+	var scratch [256]byte
+	b := AppendStr(scratch[:0], "cds/rescache/v1")
+	b = AppendStr(b, tag)
+	b = AppendMachine(b, pa)
 	fp := part.Fingerprint()
-	h.Write(fp[:])
-	var k Key
-	h.Sum(k[:0])
-	return k
+	return sha256.Sum256(append(b, fp[:]...))
 }
 
-// enabled gates every cache in the process. Benchmarks and golden tests
-// flip it off to measure/verify the uncached pipeline.
+// enabled is the process-wide result-caching switch. A Cache does not
+// consult it: the callers that memoize full scheduler outcomes (the cds
+// facade and the FB sweep) do, so benchmarks and golden tests can
+// measure and verify the uncached pipeline. The analysis and stream
+// segment memos are always on.
 var enabled atomic.Bool
 
 func init() { enabled.Store(true) }
@@ -82,44 +99,51 @@ func SetEnabled(on bool) (prev bool) { return enabled.Swap(on) }
 // Enabled reports whether result caching is active.
 func Enabled() bool { return enabled.Load() }
 
-// entry is one cached computation. done flips after compute finishes;
-// keep records whether the outcome was cacheable (non-cacheable entries
-// are removed once computed, after the in-flight sharers drain).
-type entry struct {
+// entry is one cached computation. done flips once compute has
+// finished cleanly; an outcome with an error is removed instead, after
+// being handed to its in-flight sharers.
+type entry[K comparable, V any] struct {
+	key  K
 	once sync.Once
-	val  any
-	keep bool
+	val  V
+	err  error
 	done atomic.Bool
 	elem *list.Element // position in Cache.order; guarded by Cache.mu
 }
 
 // Cache is one bounded LRU + singleflight table.
-type Cache struct {
+type Cache[K comparable, V any] struct {
 	name string
 	max  int
 
 	mu      sync.Mutex
-	entries map[Key]*entry
-	order   *list.List // of Key, least recently used first
+	entries map[K]*entry[K, V]
+	order   list.List // of *entry[K, V], least recently used first
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
 	// peerFills counts values obtained from a fleet peer's cache after a
-	// local miss (cluster peer fill). A peer fill is accounted on top of
-	// the local miss that triggered it — never as a local hit — so
-	// hits/misses keep describing THIS cache's contents truthfully.
+	// local miss (cluster peer fill). A peer fill is accounted as a local
+	// miss plus a peer fill — never as a local hit — so hits/misses keep
+	// describing THIS cache's contents truthfully.
 	peerFills atomic.Int64
+}
+
+// counted is what the registry reads from a named cache.
+type counted interface {
+	label() string
+	counters() Counters
 }
 
 var (
 	registryMu  sync.Mutex
-	registry    []*Cache
+	registry    []counted
 	publishOnce sync.Once
 )
 
 // publishExpvar registers the process-wide "rescache" var lazily, on
-// the first New. One expvar serves every cache: Publish panics on
+// the first named New. One expvar serves every cache: Publish panics on
 // duplicate names, so per-Cache vars would forbid multiple caches (and
 // re-registration in tests), and the sync.Once guard makes New safe to
 // call any number of times — two servers in one process, tests
@@ -128,17 +152,14 @@ var (
 func publishExpvar() {
 	publishOnce.Do(func() {
 		expvar.Publish("rescache", expvar.Func(func() any {
-			registryMu.Lock()
-			defer registryMu.Unlock()
-			out := make(map[string]map[string]int64, len(registry))
-			for _, c := range registry {
-				hits, misses, evictions := c.Stats()
-				out[c.name] = map[string]int64{
-					"hits":       hits,
-					"misses":     misses,
-					"evictions":  evictions,
-					"peer_fills": c.PeerFills(),
-					"entries":    int64(c.Len()),
+			out := make(map[string]map[string]int64)
+			for name, c := range Snapshot() {
+				out[name] = map[string]int64{
+					"hits":       c.Hits,
+					"misses":     c.Misses,
+					"evictions":  c.Evictions,
+					"peer_fills": c.PeerFills,
+					"entries":    c.Entries,
 				}
 			}
 			return out
@@ -156,134 +177,156 @@ type Counters struct {
 	Entries   int64
 }
 
-// Snapshot reports every registered cache's counters keyed by cache
-// name. It backs plain-text metrics endpoints (schedd's /metrics) the
-// same way the expvar backs /debug/vars; caches sharing a name collapse
-// to the last registered, matching the expvar's behavior.
+// Snapshot reports every named cache's counters keyed by cache name. It
+// backs plain-text metrics endpoints (schedd's /metrics) the same way
+// the expvar backs /debug/vars; caches sharing a name collapse to the
+// last registered, matching the expvar's behavior.
 func Snapshot() map[string]Counters {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	out := make(map[string]Counters, len(registry))
 	for _, c := range registry {
-		hits, misses, evictions := c.Stats()
-		out[c.name] = Counters{
-			Hits:      hits,
-			Misses:    misses,
-			Evictions: evictions,
-			PeerFills: c.PeerFills(),
-			Entries:   int64(c.Len()),
-		}
+		out[c.label()] = c.counters()
 	}
 	return out
 }
 
-// New returns a cache holding at most max entries, registered under
-// name in the process-wide "rescache" expvar.
-func New(name string, max int) *Cache {
-	publishExpvar()
+// New returns a cache holding at most max entries. A named cache is
+// registered in the process-wide "rescache" expvar and Snapshot for the
+// life of the process; an unnamed one ("") is not, so a cache owned by a
+// short-lived value (a stream Planner) is collected with its owner.
+func New[K comparable, V any](name string, max int) *Cache[K, V] {
 	if max < 1 {
 		max = 1
 	}
-	c := &Cache{
-		name:    name,
-		max:     max,
-		entries: make(map[Key]*entry),
-		order:   list.New(),
+	c := &Cache[K, V]{name: name, max: max, entries: make(map[K]*entry[K, V])}
+	if name != "" {
+		publishExpvar()
+		registryMu.Lock()
+		registry = append(registry, c)
+		registryMu.Unlock()
 	}
-	registryMu.Lock()
-	registry = append(registry, c)
-	registryMu.Unlock()
 	return c
 }
 
-// Do returns the cached value for key, computing it at most once across
-// concurrent callers. compute reports whether its outcome is cacheable;
-// non-cacheable outcomes (cancellations, transient failures) are handed
-// to their in-flight sharers but not kept, so a later call recomputes.
-// When the cache is disabled process-wide, compute runs directly.
-func (c *Cache) Do(key Key, compute func() (val any, cacheable bool)) any {
-	if !enabled.Load() {
-		v, _ := compute()
-		return v
+// Do returns the value for key, computing it at most once across
+// concurrent callers. It owns the memo's two rules:
+//
+//   - only outcomes with err == nil stay resident; any other outcome (a
+//     cancellation, a degraded comparison, an infeasible segment) is
+//     handed to its in-flight sharers and dropped, so a later call
+//     recomputes;
+//   - a sharer whose own context is alive never inherits the leader's
+//     cancellation: it recomputes directly.
+//
+// A dead ctx reports cancellation without consulting the cache: callers
+// distinguish "answered" from "gave up" by the error.
+func (c *Cache[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) (V, error) {
+	if err := scherr.FromContext(ctx); err != nil {
+		var zero V
+		return zero, err
 	}
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if ok {
 		c.hits.Add(1)
 		c.order.MoveToBack(e.elem)
+		if e.done.Load() {
+			c.mu.Unlock()
+			return e.val, nil
+		}
 	} else {
 		c.misses.Add(1)
-		e = &entry{}
-		e.elem = c.order.PushBack(key)
+		e = &entry[K, V]{key: key}
+		e.elem = c.order.PushBack(e)
 		c.entries[key] = e
 		for c.order.Len() > c.max {
-			oldest := c.order.Remove(c.order.Front()).(Key)
-			delete(c.entries, oldest)
+			oldest := c.order.Remove(c.order.Front()).(*entry[K, V])
+			delete(c.entries, oldest.key)
 			c.evictions.Add(1)
 		}
 	}
 	c.mu.Unlock()
 
+	led := false
 	e.once.Do(func() {
-		e.val, e.keep = compute()
-		e.done.Store(true)
-		if !e.keep {
-			c.remove(key, e)
+		led = true
+		e.val, e.err = compute()
+		if e.err != nil {
+			c.remove(e)
+		} else {
+			e.done.Store(true)
 		}
 	})
-	return e.val
+	if !led && e.err != nil && errors.Is(e.err, scherr.ErrCanceled) && ctx.Err() == nil {
+		return compute()
+	}
+	return e.val, e.err
 }
 
-// Get returns the completed cached value for key without computing
-// anything. It misses while a computation is still in flight.
-func (c *Cache) Get(key Key) (any, bool) {
-	if !enabled.Load() {
-		return nil, false
-	}
+// Get returns the clean cached value for key without computing
+// anything; it misses while a computation is still in flight. Only a
+// hit moves the counters: a miss is counted by what the caller does
+// about it — Do, which computes, or NotePeerFill — so one request is
+// one hit or one miss.
+func (c *Cache[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok && e.done.Load() {
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok && e.done.Load() {
 		c.hits.Add(1)
 		c.order.MoveToBack(e.elem)
-		c.mu.Unlock()
 		return e.val, true
 	}
-	c.misses.Add(1)
-	c.mu.Unlock()
-	return nil, false
+	var zero V
+	return zero, false
 }
 
 // remove drops an entry if it still maps to e (the key may have been
 // evicted — and even re-inserted by a successor — while e computed).
-func (c *Cache) remove(key Key, e *entry) {
+func (c *Cache[K, V]) remove(e *entry[K, V]) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cur, ok := c.entries[key]; ok && cur == e {
-		delete(c.entries, key)
+	if cur, ok := c.entries[e.key]; ok && cur == e {
+		delete(c.entries, e.key)
 		c.order.Remove(e.elem)
 	}
 }
 
 // Len reports the number of resident entries.
-func (c *Cache) Len() int {
+func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
 
 // Stats reports cumulative hit/miss/eviction counts.
-func (c *Cache) Stats() (hits, misses, evictions int64) {
+func (c *Cache[K, V]) Stats() (hits, misses, evictions int64) {
 	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
 }
 
-// NotePeerFill records that a local miss on this cache was answered by a
-// fleet peer's cache instead of a recomputation. It does not touch the
-// hit/miss counters: the lookup that preceded it already counted as a
-// local miss, and counting the peer's answer as a local hit would make
-// local hit rates lie. Per-source accounting is the point — "local"
-// effectiveness is hits/(hits+misses), "peer" effectiveness is
-// peer_fills/misses.
-func (c *Cache) NotePeerFill() { c.peerFills.Add(1) }
+// NotePeerFill records that a Get miss on this cache was answered by a
+// fleet peer's cache instead of a recomputation: one local miss and one
+// peer fill, never a local hit — counting the peer's answer as a local
+// hit would make local hit rates lie. Per-source accounting is the
+// point: "local" effectiveness is hits/(hits+misses), "peer"
+// effectiveness is peer_fills/misses.
+func (c *Cache[K, V]) NotePeerFill() {
+	c.misses.Add(1)
+	c.peerFills.Add(1)
+}
 
 // PeerFills reports how many local misses were answered by a peer.
-func (c *Cache) PeerFills() int64 { return c.peerFills.Load() }
+func (c *Cache[K, V]) PeerFills() int64 { return c.peerFills.Load() }
+
+func (c *Cache[K, V]) label() string { return c.name }
+
+func (c *Cache[K, V]) counters() Counters {
+	hits, misses, evictions := c.Stats()
+	return Counters{
+		Hits:      hits,
+		Misses:    misses,
+		Evictions: evictions,
+		PeerFills: c.PeerFills(),
+		Entries:   int64(c.Len()),
+	}
+}

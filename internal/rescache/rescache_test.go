@@ -1,12 +1,17 @@
 package rescache
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"cds/internal/app"
 	"cds/internal/arch"
+	"cds/internal/scherr"
 )
 
 func testPart(t testing.TB, name string, inSize int) *app.Partition {
@@ -54,6 +59,15 @@ func TestKeyOfContentAddressing(t *testing.T) {
 	}
 }
 
+// TestKeyOfPinned pins one key in hex: every key a long-lived cache or a
+// fleet peer ever saw must survive a reorganization of the encoding.
+func TestKeyOfPinned(t *testing.T) {
+	const want = "f84b6e87c2ed24ab40c1d81074f776fd6c6f3c8f24ff32310630d99ab5740e07"
+	if got := fmt.Sprintf("%x", KeyOf(arch.M1(), testPart(t, "key", 128), "compare-all/v1")); got != want {
+		t.Errorf("KeyOf = %s, want %s", got, want)
+	}
+}
+
 func keyWith(pa arch.Params, p *app.Partition, mut func(*arch.Params)) Key {
 	mut(&pa)
 	return KeyOf(pa, p, "t")
@@ -63,19 +77,19 @@ func keyWith(pa arch.Params, p *app.Partition, mut func(*arch.Params)) Key {
 // exactly one computation, everyone sees its value, and the counters
 // add up.
 func TestSingleflightHammer(t *testing.T) {
-	c := New("test.hammer", 16)
+	c := New[Key, string]("test.hammer", 16)
 	key := KeyOf(arch.M1(), testPart(t, "hammer", 64), "hammer")
 	var computations atomic.Int64
 	const goroutines = 32
-	results := make([]any, goroutines)
+	results := make([]string, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g] = c.Do(key, func() (any, bool) {
+			results[g], _ = c.Do(context.Background(), key, func() (string, error) {
 				computations.Add(1)
-				return "value", true
+				return "value", nil
 			})
 		}(g)
 	}
@@ -95,17 +109,19 @@ func TestSingleflightHammer(t *testing.T) {
 }
 
 func TestNonCacheableOutcomesRecompute(t *testing.T) {
-	c := New("test.noncacheable", 16)
+	c := New[Key, int64]("test.noncacheable", 16)
 	key := KeyOf(arch.M1(), testPart(t, "nc", 64), "nc")
 	var n atomic.Int64
-	compute := func() (any, bool) {
-		return n.Add(1), false // e.g. a canceled computation
+	errDegraded := errors.New("degraded")
+	compute := func() (int64, error) {
+		return n.Add(1), errDegraded // e.g. a degraded comparison
 	}
-	if v := c.Do(key, compute); v != int64(1) {
-		t.Fatalf("first Do = %v", v)
+	ctx := context.Background()
+	if v, err := c.Do(ctx, key, compute); v != 1 || !errors.Is(err, errDegraded) {
+		t.Fatalf("first Do = %v, %v", v, err)
 	}
-	if v := c.Do(key, compute); v != int64(2) {
-		t.Errorf("non-cacheable outcome was served from cache: %v", v)
+	if v, _ := c.Do(ctx, key, compute); v != 2 {
+		t.Errorf("outcome with an error was served from cache: %v", v)
 	}
 	if c.Len() != 0 {
 		t.Errorf("non-cacheable entries linger: Len=%d", c.Len())
@@ -113,15 +129,16 @@ func TestNonCacheableOutcomesRecompute(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New("test.lru", 2)
+	c := New[Key, string]("test.lru", 2)
 	pa := arch.M1()
 	p := testPart(t, "lru", 64)
 	k1, k2, k3 := KeyOf(pa, p, "1"), KeyOf(pa, p, "2"), KeyOf(pa, p, "3")
-	val := func(s string) func() (any, bool) { return func() (any, bool) { return s, true } }
-	c.Do(k1, val("a"))
-	c.Do(k2, val("b"))
-	c.Do(k1, val("a")) // touch k1: k2 is now least recently used
-	c.Do(k3, val("c")) // evicts k2
+	ctx := context.Background()
+	val := func(s string) func() (string, error) { return func() (string, error) { return s, nil } }
+	c.Do(ctx, k1, val("a"))
+	c.Do(ctx, k2, val("b"))
+	c.Do(ctx, k1, val("a")) // touch k1: k2 is now least recently used
+	c.Do(ctx, k3, val("c")) // evicts k2
 	if _, ok := c.Get(k2); ok {
 		t.Error("least-recently-used entry survived eviction")
 	}
@@ -133,18 +150,73 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestDisableBypassesCache(t *testing.T) {
-	c := New("test.disable", 16)
-	key := KeyOf(arch.M1(), testPart(t, "dis", 64), "dis")
-	var n atomic.Int64
-	compute := func() (any, bool) { return n.Add(1), true }
-	c.Do(key, compute)
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
-	if v := c.Do(key, compute); v != int64(2) {
-		t.Errorf("disabled cache still served a hit: %v", v)
+// TestCanceledLeaderLiveSharer pins Do's second rule: when the
+// singleflight leader's context dies mid-compute, a sharer whose own
+// context is alive recomputes instead of inheriting the cancellation,
+// and nothing canceled stays resident.
+func TestCanceledLeaderLiveSharer(t *testing.T) {
+	c := New[Key, string]("test.cancel", 16)
+	key := KeyOf(arch.M1(), testPart(t, "cancel", 64), "cancel")
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	entered, release := make(chan struct{}), make(chan struct{})
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := c.Do(leaderCtx, key, func() (string, error) {
+			close(entered)
+			<-release
+			return "", scherr.FromContext(leaderCtx)
+		})
+		leaderDone <- err
+	}()
+	<-entered
+
+	// The sharer joins the in-flight entry: its Do counts a hit the
+	// moment it holds the leader's entry, whatever the scheduling after.
+	var recomputed atomic.Int64
+	type result struct {
+		v   string
+		err error
+	}
+	sharerDone := make(chan result, 1)
+	go func() {
+		v, err := c.Do(context.Background(), key, func() (string, error) {
+			recomputed.Add(1)
+			return "fresh", nil
+		})
+		sharerDone <- result{v, err}
+	}()
+	for {
+		if hits, _, _ := c.Stats(); hits == 1 {
+			break
+		}
+		runtime.Gosched()
+	}
+	cancelLeader()
+	close(release)
+
+	if err := <-leaderDone; !errors.Is(err, scherr.ErrCanceled) {
+		t.Errorf("leader err = %v, want ErrCanceled", err)
+	}
+	r := <-sharerDone
+	if r.err != nil || r.v != "fresh" {
+		t.Errorf("live sharer got (%q, %v), want a recomputed value", r.v, r.err)
+	}
+	if n := recomputed.Load(); n != 1 {
+		t.Errorf("sharer recomputed %d times, want 1", n)
+	}
+	if c.Len() != 0 {
+		t.Errorf("canceled outcome stayed resident: Len=%d", c.Len())
 	}
 	if _, ok := c.Get(key); ok {
-		t.Error("disabled cache answered Get")
+		t.Error("Get served a canceled outcome")
+	}
+
+	// A dead context reports cancellation, never a cached value.
+	c.Do(context.Background(), key, func() (string, error) { return "clean", nil })
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.Do(dead, key, func() (string, error) { return "x", nil }); !errors.Is(err, scherr.ErrCanceled) {
+		t.Errorf("dead context: err = %v, want ErrCanceled", err)
 	}
 }

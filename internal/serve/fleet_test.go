@@ -171,6 +171,51 @@ func TestCompareUsesPeerFillOnLocalMiss(t *testing.T) {
 	}
 }
 
+// TestCompareCountsEachRequestOnce pins the comparison cache's
+// per-request accounting: a hit is one hit, a peer fill is one miss
+// plus one peer fill, and a local compute is one miss — the lookup that
+// precedes a fill or a compute does not count a second miss.
+func TestCompareCountsEachRequestOnce(t *testing.T) {
+	counters := func() rescache.Counters { return rescache.Snapshot()["cds.compare_all"] }
+	expect := func(what string, before rescache.Counters, hits, misses, peerFills int64) {
+		t.Helper()
+		now := counters()
+		if d := now.Hits - before.Hits; d != hits {
+			t.Errorf("%s: hits moved %d, want %d", what, d, hits)
+		}
+		if d := now.Misses - before.Misses; d != misses {
+			t.Errorf("%s: misses moved %d, want %d", what, d, misses)
+		}
+		if d := now.PeerFills - before.PeerFills; d != peerFills {
+			t.Errorf("%s: peer fills moved %d, want %d", what, d, peerFills)
+		}
+	}
+	// FB overrides no other test uses guarantee local misses.
+	const computed, filled = `{"workload":"E1","fb_bytes":997888}`, `{"workload":"E1","fb_bytes":997376}`
+
+	s := New(Config{WorkerID: "w-self"})
+	before := counters()
+	if rec, resp := postCompare(t, s, computed); rec.Code != http.StatusOK || resp.Cached {
+		t.Fatalf("local compute = %d (cached=%v): %s", rec.Code, resp.Cached, rec.Body.String())
+	}
+	expect("local compute", before, 0, 1, 0)
+
+	before = counters()
+	if rec, resp := postCompare(t, s, computed); rec.Code != http.StatusOK || resp.CacheSource != "local" {
+		t.Fatalf("hit = %d (source %q): %s", rec.Code, resp.CacheSource, rec.Body.String())
+	}
+	expect("hit", before, 1, 0, 0)
+
+	peer := New(Config{WorkerID: "w-self", PeerFill: func(context.Context, [32]byte, rescache.Key) (*CompareResponse, bool) {
+		return &CompareResponse{WorkerID: "w-peer"}, true
+	}})
+	before = counters()
+	if rec, resp := postCompare(t, peer, filled); rec.Code != http.StatusOK || resp.CacheSource != "peer" {
+		t.Fatalf("peer fill = %d (source %q): %s", rec.Code, resp.CacheSource, rec.Body.String())
+	}
+	expect("peer fill", before, 0, 1, 1)
+}
+
 // TestTracedCompareSkipsPeerFill pins that ?trace=1 requests never take
 // the peer path: analytics need the locally computed comparison.
 func TestTracedCompareSkipsPeerFill(t *testing.T) {

@@ -1,19 +1,15 @@
 package stream
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"cds/internal/app"
 	"cds/internal/arch"
 	"cds/internal/core"
 	"cds/internal/rescache"
-	"cds/internal/scherr"
 	"cds/internal/sim"
 	"cds/internal/trace"
 )
@@ -22,68 +18,42 @@ import (
 // function of: the machine, the iteration count and the segment's
 // content (data, kernels, cluster decomposition). The arrival time is
 // deliberately excluded — when a burst arrives changes the executor's
-// Ready times, never the schedule's content. The canonical encoding
-// mirrors rescache.KeyOf (domain-versioned prefix, uvarint numbers,
-// length-prefixed strings), and the key shares rescache's Key type so
-// serving layers can expose it alongside comparison keys.
+// Ready times, never the schedule's content. The canonical encoding is
+// rescache's (AppendNum, AppendStr, AppendMachine), and the key shares
+// rescache's Key type so serving layers can expose it alongside
+// comparison keys.
 func segmentKey(pa arch.Params, iterations int, seg *Segment) rescache.Key {
-	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
-	num := func(v int) {
-		n := binary.PutUvarint(buf[:], uint64(int64(v)))
-		h.Write(buf[:n])
-	}
-	str := func(s string) {
-		num(len(s))
-		h.Write([]byte(s))
-	}
-	flag := func(b bool) {
-		if b {
-			num(1)
-		} else {
-			num(0)
-		}
-	}
-	str("cds/stream/segment/v1")
-	str(pa.Name)
-	num(pa.FBSetBytes)
-	num(pa.FBSets)
-	num(pa.CMWords)
-	num(pa.BusBytes)
-	num(pa.DMASetupCycles)
-	num(pa.CtxWordBytes)
-	num(pa.Rows)
-	num(pa.Cols)
-	num(iterations)
-	num(len(seg.Data))
+	var scratch [2048]byte // a typical segment's encoding fits: no allocation
+	b := rescache.AppendStr(scratch[:0], "cds/stream/segment/v1")
+	b = rescache.AppendMachine(b, pa)
+	b = rescache.AppendNum(b, iterations)
+	b = rescache.AppendNum(b, len(seg.Data))
 	for _, d := range seg.Data {
-		str(d.Name)
-		num(d.Size)
-		flag(d.Final)
-		flag(d.Streamed)
+		b = rescache.AppendStr(b, d.Name)
+		b = rescache.AppendNum(b, d.Size)
+		b = rescache.AppendFlag(b, d.Final)
+		b = rescache.AppendFlag(b, d.Streamed)
 	}
-	num(len(seg.Kernels))
+	b = rescache.AppendNum(b, len(seg.Kernels))
 	for _, k := range seg.Kernels {
-		str(k.Name)
-		num(k.ContextWords)
-		num(k.ComputeCycles)
-		str(k.ContextGroup)
-		num(len(k.Inputs))
+		b = rescache.AppendStr(b, k.Name)
+		b = rescache.AppendNum(b, k.ContextWords)
+		b = rescache.AppendNum(b, k.ComputeCycles)
+		b = rescache.AppendStr(b, k.ContextGroup)
+		b = rescache.AppendNum(b, len(k.Inputs))
 		for _, in := range k.Inputs {
-			str(in)
+			b = rescache.AppendStr(b, in)
 		}
-		num(len(k.Outputs))
+		b = rescache.AppendNum(b, len(k.Outputs))
 		for _, out := range k.Outputs {
-			str(out)
+			b = rescache.AppendStr(b, out)
 		}
 	}
-	num(len(seg.Clusters))
+	b = rescache.AppendNum(b, len(seg.Clusters))
 	for _, c := range seg.Clusters {
-		num(c)
+		b = rescache.AppendNum(b, c)
 	}
-	var key rescache.Key
-	h.Sum(key[:0])
-	return key
+	return sha256.Sum256(b)
 }
 
 // segEntry is one memoized segment plan: the built sub-partition, its
@@ -93,58 +63,6 @@ type segEntry struct {
 	part       *app.Partition
 	sched      *core.Schedule
 	groupWords []int // indexed by the segment-local cluster index
-}
-
-// memo is the bounded LRU behind delta replanning. It is NOT shared
-// process-wide: each Planner owns one, so a fresh Planner is a
-// from-scratch planner (the golden byte-identity test relies on that).
-type memo struct {
-	max     int
-	mu      sync.Mutex
-	entries map[rescache.Key]*list.Element
-	order   *list.List // front = least recently used
-}
-
-type memoItem struct {
-	key rescache.Key
-	ent *segEntry
-}
-
-func newMemo(max int) *memo {
-	return &memo{max: max, entries: map[rescache.Key]*list.Element{}, order: list.New()}
-}
-
-func (m *memo) get(k rescache.Key) (*segEntry, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.entries[k]
-	if !ok {
-		return nil, false
-	}
-	m.order.MoveToBack(el)
-	return el.Value.(memoItem).ent, true
-}
-
-func (m *memo) put(k rescache.Key, e *segEntry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.entries[k]; ok {
-		m.order.MoveToBack(el)
-		el.Value = memoItem{k, e}
-		return
-	}
-	m.entries[k] = m.order.PushBack(memoItem{k, e})
-	for len(m.entries) > m.max {
-		el := m.order.Front()
-		m.order.Remove(el)
-		delete(m.entries, el.Value.(memoItem).key)
-	}
-}
-
-func (m *memo) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.entries)
 }
 
 // DefaultMemoSegments bounds a planner's memo when no size is given:
@@ -157,8 +75,13 @@ const DefaultMemoSegments = 256
 // and memoized under its content fingerprint; replanning a stream whose
 // tail changed reuses every unchanged segment's schedule and re-runs
 // CDS only for the divergent segments. Safe for concurrent use.
+//
+// The memo is NOT shared process-wide: each Planner owns an unnamed
+// rescache.Cache (collected with the Planner, never registered), so a
+// fresh Planner is a from-scratch planner (the golden byte-identity
+// test relies on that).
 type Planner struct {
-	memo *memo
+	memo *rescache.Cache[rescache.Key, *segEntry]
 }
 
 // NewPlanner returns a planner with a bounded segment memo (memoSize
@@ -167,11 +90,11 @@ func NewPlanner(memoSize int) *Planner {
 	if memoSize <= 0 {
 		memoSize = DefaultMemoSegments
 	}
-	return &Planner{memo: newMemo(memoSize)}
+	return &Planner{memo: rescache.New[rescache.Key, *segEntry]("", memoSize)}
 }
 
 // MemoLen reports how many segment schedules are resident.
-func (pl *Planner) MemoLen() int { return pl.memo.len() }
+func (pl *Planner) MemoLen() int { return pl.memo.Len() }
 
 // SegmentPlan is one segment's slice of a Plan.
 type SegmentPlan struct {
@@ -260,7 +183,8 @@ func (pl *Planner) Plan(ctx context.Context, lg *Log) (*Plan, error) {
 	pa := lg.Params()
 	plan := &Plan{Name: lg.Name, Arch: pa, Iterations: lg.Iterations}
 	// Pass 1: fingerprint every segment and resolve its schedule (memo
-	// hit or CDS run). Stitching is deferred so the visit slices can be
+	// hit or CDS run: Replanned counts the segments whose compute this
+	// call ran). Stitching is deferred so the visit slices can be
 	// sized exactly — on the hot replan path (one divergent segment in
 	// a long log) repeated append growth would otherwise dominate.
 	ents := make([]*segEntry, len(lg.Segments))
@@ -268,14 +192,11 @@ func (pl *Planner) Plan(ctx context.Context, lg *Log) (*Plan, error) {
 	hits := make([]bool, len(lg.Segments))
 	total := 0
 	for i := range lg.Segments {
-		if err := scherr.FromContext(ctx); err != nil {
-			return nil, err
-		}
+		// Do reports a dead ctx before consulting the memo.
 		key := segmentKey(pa, lg.Iterations, &lg.Segments[i])
-		ent, hit := pl.memo.get(key)
-		if hit {
-			plan.Reused++
-		} else {
+		ran := false
+		ent, err := pl.memo.Do(ctx, key, func() (*segEntry, error) {
+			ran = true
 			part, spa, err := lg.segmentSpec(i).Build()
 			if err != nil {
 				return nil, fmt.Errorf("stream: segment %q: %w", lg.SegmentName(i), err)
@@ -284,11 +205,17 @@ func (pl *Planner) Plan(ctx context.Context, lg *Log) (*Plan, error) {
 			if err != nil {
 				return nil, fmt.Errorf("stream: segment %q: %w", lg.SegmentName(i), err)
 			}
-			ent = &segEntry{part: part, sched: sched, groupWords: groupWordsOf(part)}
-			pl.memo.put(key, ent)
-			plan.Replanned++
+			return &segEntry{part: part, sched: sched, groupWords: groupWordsOf(part)}, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		ents[i], keys[i], hits[i] = ent, key, hit
+		if ran {
+			plan.Replanned++
+		} else {
+			plan.Reused++
+		}
+		ents[i], keys[i], hits[i] = ent, key, !ran
 		total += len(ent.sched.Visits)
 	}
 	// Pass 2 — stitch: offset each segment's cluster indices to their

@@ -59,14 +59,9 @@ func FBCtx(ctx context.Context, pa arch.Params, part *app.Partition, lo, hi, ste
 	n := (hi-lo)/step + 1
 	samples := make([]*Point, n)
 	err := conc.ForEach(ctx, conc.DefaultLimit(), n, func(i int) error {
-		pt, ok, err := fbPoint(ctx, pa, part, lo+i*step)
-		if err != nil {
-			return err
-		}
-		if ok {
-			samples[i] = &pt
-		}
-		return nil
+		pt, err := fbPoint(ctx, pa, part, lo+i*step)
+		samples[i] = pt
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -86,65 +81,45 @@ func FBCtx(ctx context.Context, pa arch.Params, part *app.Partition, lo, hi, ste
 // pointCache memoizes fbPoint samples under the content fingerprint of
 // (arch-with-FB-size, partition). Overlapping sweep ranges, repeated
 // sweeps of one workload, and batch grids that revisit a configuration
-// all hit instead of rescheduling three policies per sample.
-var pointCache = rescache.New("sweep.fb_point", 4096)
+// all hit instead of rescheduling three policies per sample. Infeasible
+// floors (a nil *Point) are legitimate results and cache like any
+// other; the cached *Point is shared and never mutated.
+var pointCache = rescache.New[rescache.Key, *Point]("sweep.fb_point", 4096)
 
 // pointTag versions the cached computation.
 const pointTag = "fb-point/v1"
 
-// pointOutcome is the memoized fbPoint result. Only clean outcomes
-// (err == nil) are kept; infeasible floors (ok=false) are legitimate
-// results and cache like any other.
-type pointOutcome struct {
-	pt Point
-	ok bool
-}
-
-// fbPoint samples one FB size; ok is false below the data schedulers'
-// feasibility floor (the sample is skipped, not an error — recognized by
-// TYPE via scherr.ErrInfeasible, not by matching behavior). Samples are
-// memoized content-addressed in pointCache: the FB size folds into the
-// arch params, so every grid point has its own key.
-func fbPoint(ctx context.Context, pa arch.Params, part *app.Partition, fb int) (Point, bool, error) {
+// fbPoint samples one FB size; a nil point means the size is below the
+// data schedulers' feasibility floor (the sample is skipped, not an
+// error — recognized by TYPE via scherr.ErrInfeasible, not by matching
+// behavior). Samples are memoized content-addressed in pointCache: the
+// FB size folds into the arch params, so every grid point has its own
+// key.
+func fbPoint(ctx context.Context, pa arch.Params, part *app.Partition, fb int) (*Point, error) {
 	cfg := pa
 	cfg.FBSetBytes = fb
 	if !rescache.Enabled() {
 		return fbPointUncached(ctx, cfg, part, fb)
 	}
-	if err := scherr.FromContext(ctx); err != nil {
-		return Point{}, false, err
-	}
-	type outcome struct {
-		pointOutcome
-		err error
-	}
-	v := pointCache.Do(rescache.KeyOf(cfg, part, pointTag), func() (any, bool) {
-		pt, ok, err := fbPointUncached(ctx, cfg, part, fb)
-		return outcome{pointOutcome{pt, ok}, err}, err == nil
-	})
-	o := v.(outcome)
-	if o.err != nil && errors.Is(o.err, scherr.ErrCanceled) && scherr.FromContext(ctx) == nil {
-		// The in-flight leader was canceled but this caller's context is
-		// alive: don't let a stranger's cancellation poison this sweep.
+	return pointCache.Do(ctx, rescache.KeyOf(cfg, part, pointTag), func() (*Point, error) {
 		return fbPointUncached(ctx, cfg, part, fb)
-	}
-	return o.pt, o.ok, o.err
+	})
 }
 
 // fbPointUncached is the raw sample: cfg already carries the FB size.
-func fbPointUncached(ctx context.Context, cfg arch.Params, part *app.Partition, fb int) (Point, bool, error) {
-	pt := Point{FBBytes: fb}
+func fbPointUncached(ctx context.Context, cfg arch.Params, part *app.Partition, fb int) (*Point, error) {
+	pt := &Point{FBBytes: fb}
 
 	dsS, err := (core.DataScheduler{}).ScheduleCtx(ctx, cfg, part)
 	if err != nil {
 		if errors.Is(err, scherr.ErrInfeasible) {
-			return Point{}, false, nil // below even the data schedulers' floor
+			return nil, nil // below even the data schedulers' floor
 		}
-		return Point{}, false, err
+		return nil, err
 	}
 	cdsS, err := (core.CompleteDataScheduler{}).ScheduleCtx(ctx, cfg, part)
 	if err != nil {
-		return Point{}, false, err
+		return nil, err
 	}
 	pt.RF = cdsS.RF
 	pt.DTBytes = cdsS.AvoidedBytesPerIter()
@@ -155,26 +130,26 @@ func fbPointUncached(ctx context.Context, cfg arch.Params, part *app.Partition, 
 	basicS, err := (core.Basic{}).ScheduleCtx(ctx, cfg, part)
 	if err != nil {
 		if !errors.Is(err, scherr.ErrInfeasible) {
-			return Point{}, false, err
+			return nil, err
 		}
-		return pt, true, nil // basic infeasible: still a sample
+		return pt, nil // basic infeasible: still a sample
 	}
 	pt.BasicFeasible = true
 	rBasic, err := sim.Run(basicS)
 	if err != nil {
-		return Point{}, false, err
+		return nil, err
 	}
 	rDS, err := sim.Run(dsS)
 	if err != nil {
-		return Point{}, false, err
+		return nil, err
 	}
 	rCDS, err := sim.Run(cdsS)
 	if err != nil {
-		return Point{}, false, err
+		return nil, err
 	}
 	pt.DSImp = sim.Improvement(rBasic, rDS)
 	pt.CDSImp = sim.Improvement(rBasic, rCDS)
-	return pt, true, nil
+	return pt, nil
 }
 
 // Write renders the sweep as a table plus an ASCII curve of the CDS

@@ -7,37 +7,28 @@ package cds
 // content fingerprint — design-space sweeps, batch grids and schedd
 // requests that re-pose a solved point get the answer in O(hash).
 //
-// Only clean outcomes are kept. Anything carrying an error — a
-// cancellation, a panic surfaced by conc, a degraded comparison — is
-// handed to its concurrent sharers and then dropped, so a later call
-// recomputes instead of replaying a transient failure.
+// Only clean outcomes are kept (rescache.Cache.Do): anything carrying an
+// error — a cancellation, a panic surfaced by conc, a degraded
+// comparison — is handed to its concurrent sharers and then dropped, so
+// a later call recomputes instead of replaying a transient failure.
 
-import (
-	"sync/atomic"
-
-	"cds/internal/rescache"
-)
+import "cds/internal/rescache"
 
 // comparisonCache memoizes CompareAllCtx outcomes. 512 entries hold a
 // full three-generation × all-workloads × 58-point FB sweep with room
 // to spare.
-var comparisonCache = rescache.New("cds.compare_all", 512)
+var comparisonCache = rescache.New[rescache.Key, *Comparison]("cds.compare_all", 512)
 
 // compareTag versions the cached computation: bump it when the
 // scheduler pipeline changes meaning without a spec change.
 const compareTag = "compare-all/v1"
 
-// cachingEnabled gates CompareAllCtx's memoization without disabling
-// the process-wide rescache switch (benchmarks flip both
-// independently).
-var cachingEnabled atomic.Bool
-
-func init() { cachingEnabled.Store(true) }
-
-// SetResultCaching turns CompareAllCtx result caching on or off and
-// returns the previous setting. On by default; the golden tests and
+// SetResultCaching turns result caching on or off and returns the
+// previous setting. It forwards to rescache.SetEnabled, the one
+// process-wide switch (the FB sweep honours it too); the analysis and
+// stream segment memos stay on. On by default; the golden tests and
 // uncached benchmarks switch it off to exercise the raw pipeline.
-func SetResultCaching(on bool) (prev bool) { return cachingEnabled.Swap(on) }
+func SetResultCaching(on bool) (prev bool) { return rescache.SetEnabled(on) }
 
 // ComparisonKey returns the content fingerprint CompareAllCtx caches
 // under: a deterministic hash of every arch parameter and the
@@ -46,42 +37,18 @@ func ComparisonKey(pa Arch, part *Part) rescache.Key {
 	return rescache.KeyOf(pa, part, compareTag)
 }
 
-// compareOutcome is the cached value type: the comparison plus the
-// error handed to concurrent sharers of one in-flight computation.
-// Only err == nil outcomes stay resident.
-type compareOutcome struct {
-	cmp *Comparison
-	err error
-}
-
-// LookupComparison returns the memoized comparison for the spec if a
-// clean one is resident, without scheduling anything. Serving layers
-// use it to answer requests before paying for queue admission.
-func LookupComparison(pa Arch, part *Part) (*Comparison, bool) {
-	if !cachingEnabled.Load() {
-		return nil, false
-	}
-	v, ok := comparisonCache.Get(ComparisonKey(pa, part))
-	if !ok {
-		return nil, false
-	}
-	return v.(compareOutcome).cmp, true
-}
-
-// LookupComparisonByKey is LookupComparison addressed by the raw cache
-// key instead of (arch, partition). The fleet's peer-fill endpoint
-// (GET /v1/cache/{key}) uses it: the asking worker already computed the
-// key, and shipping 32 bytes beats re-shipping (and re-parsing) the
-// whole spec just to recompute the same hash.
+// LookupComparisonByKey returns the memoized comparison under key (see
+// ComparisonKey) if a clean one is resident, without scheduling
+// anything. Serving layers use it to answer requests before paying for
+// queue admission, and the fleet's peer-fill endpoint (GET
+// /v1/cache/{key}) to answer a peer that already computed the key. Only
+// a hit moves the cache counters; the caller's next step (a compute or
+// NoteComparisonPeerFill) counts the miss.
 func LookupComparisonByKey(key rescache.Key) (*Comparison, bool) {
-	if !cachingEnabled.Load() {
+	if !rescache.Enabled() {
 		return nil, false
 	}
-	v, ok := comparisonCache.Get(key)
-	if !ok {
-		return nil, false
-	}
-	return v.(compareOutcome).cmp, true
+	return comparisonCache.Get(key)
 }
 
 // NoteComparisonPeerFill records that a local comparison-cache miss was
