@@ -139,8 +139,8 @@ func run(ctx context.Context, opts options) error {
 				continue
 			}
 			fmt.Println()
-			report.Occupancy(os.Stdout, res.Allocation.Events, set, pa.FBSetBytes, 72)
-			report.Legend(os.Stdout, res.Allocation.Events, set)
+			report.Occupancy(os.Stdout, res.Allocation, set, pa.FBSetBytes, 72)
+			report.Legend(os.Stdout, res.Allocation, set)
 		}
 	}
 	if opts.timeline {
@@ -272,6 +272,6 @@ func printTrace(rep *core.AllocationReport) {
 			iter = "preload"
 		}
 		fmt.Printf("  c%d %-7s %-7s %-14s set%d @%-5d %5d B\n",
-			ev.Cluster, iter, ev.Op, ev.Object, ev.Set, ev.Addr, ev.Bytes)
+			ev.Cluster, iter, ev.Op, rep.Object(ev), ev.Set, ev.Addr, ev.Bytes)
 	}
 }

@@ -9,9 +9,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"cds/internal/core"
 	"cds/internal/rescache"
 	"cds/internal/scherr"
 	"cds/internal/workloads"
@@ -85,6 +90,9 @@ func TestResultCacheGolden(t *testing.T) {
 
 // TestCompareAllCtxCanceledNotCached: a dead context reports
 // cancellation and must neither poison the cache nor be served from it.
+// cancelRuns numbers TestCompareAllCtxCanceledNotCached's invocations.
+var cancelRuns atomic.Int64
+
 func TestCompareAllCtxCanceledNotCached(t *testing.T) {
 	e := workloads.MPEG()
 	// Ensure the entry exists, then cancel: the hit must NOT mask the
@@ -98,9 +106,10 @@ func TestCompareAllCtxCanceledNotCached(t *testing.T) {
 		t.Fatalf("dead context: err = %v, want ErrCanceled", err)
 	}
 
-	// A cancellation during fill must not be memoized: use a fresh spec
-	// so the fill actually runs, with an already-expired deadline.
-	b := NewApp("golden-cancel", 16).Datum("in", 256).Datum("out", 64)
+	// A cancellation during fill must not be memoized: use a spec no
+	// earlier invocation built (go test -count=N reruns in-process) so
+	// the fill actually runs, with an already-expired deadline.
+	b := NewApp(fmt.Sprintf("golden-cancel-%d", cancelRuns.Add(1)), 16).Datum("in", 256).Datum("out", 64)
 	b.Kernel("k", 32, 500).In("in").Out("out")
 	part, err := Partition(b.MustBuild(), 2, 1)
 	if err != nil {
@@ -117,6 +126,68 @@ func TestCompareAllCtxCanceledNotCached(t *testing.T) {
 	// The same spec under a live context computes cleanly afterwards.
 	if _, err := CompareAll(e.Arch, part); err != nil {
 		t.Fatalf("post-cancel recompute: %v", err)
+	}
+}
+
+// namesRuns numbers TestCachedReportNamesConcurrently's invocations.
+var namesRuns atomic.Int64
+
+// TestCachedReportNamesConcurrently: a cached report builds its instance
+// name table on first request. Concurrent first requests on one cached
+// Comparison must all see the same names, and run clean under -race.
+func TestCachedReportNamesConcurrently(t *testing.T) {
+	// A spec no earlier invocation built, so the table starts cold.
+	b := NewApp(fmt.Sprintf("golden-names-%d", namesRuns.Add(1)), 8).
+		Datum("in", 128).Datum("mid", 64).Datum("out", 32)
+	b.Kernel("k1", 32, 400).In("in").Out("mid")
+	b.Kernel("k2", 32, 400).In("mid").Out("out")
+	part, err := Partition(b.MustBuild(), 2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch := workloads.MPEG().Arch
+	first, err := CompareAll(arch, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmp, err := CompareAll(arch, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp != first {
+		t.Fatal("second CompareAll did not return the cached Comparison")
+	}
+	rep := cmp.CDS.Allocation
+	if len(rep.Events) == 0 {
+		t.Fatal("no allocation events")
+	}
+
+	const readers = 8
+	names := make([][]string, readers)
+	var wg sync.WaitGroup
+	for g := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, ev := range rep.Events {
+				names[g] = append(names[g], rep.Object(ev)+" "+rep.DatumName(ev))
+			}
+		}()
+	}
+	wg.Wait()
+	for g := 1; g < readers; g++ {
+		if !slices.Equal(names[g], names[0]) {
+			t.Fatalf("reader %d named the events differently from reader 0", g)
+		}
+	}
+	for i, ev := range rep.Events {
+		datum, iter, ok := core.ParseInstance(rep.Object(ev))
+		if !ok || datum != rep.DatumName(ev) {
+			t.Fatalf("event %d: object %q does not name datum %q", i, rep.Object(ev), rep.DatumName(ev))
+		}
+		if ev.Iter >= 0 && iter != ev.Iter {
+			t.Fatalf("event %d: object %q names iteration %d, event runs %d", i, rep.Object(ev), iter, ev.Iter)
+		}
 	}
 }
 

@@ -13,6 +13,9 @@
 // To promote address regularity across loop iterations, an allocation can
 // name a preferred address (where the previous iteration of the same datum
 // lived); the allocator honors it when that exact region is free.
+//
+// Objects are keyed by a dense integer key, so the allocation path hashes
+// nothing; a name function renders a key only for error and debug text.
 package alloc
 
 import (
@@ -53,10 +56,9 @@ type Extent struct {
 // End returns the first address past the extent.
 func (e Extent) End() int { return e.Addr + e.Len }
 
-// Placement records where a named object lives. Objects normally occupy
-// one extent; a split object occupies several, in ascending address order.
+// Placement records where an object lives. Objects normally occupy one
+// extent; a split object occupies several, in ascending address order.
 type Placement struct {
-	Name    string
 	Extents []Extent
 }
 
@@ -113,9 +115,15 @@ var ErrWouldSplit = scherr.Sentinel(scherr.ErrCapacity, "alloc: request fits onl
 // FB is one Frame Buffer set under allocation. The zero value is unusable;
 // use New.
 type FB struct {
-	size       int
-	free       []Extent // sorted by Addr, coalesced, non-empty lengths
-	live       map[string]Placement
+	size int
+	free []Extent // sorted by Addr, coalesced, non-empty lengths
+	// at[k] is 1 + the index of key k's entry in live, or 0 when k is
+	// not placed.
+	at []int32
+	// live holds the placed objects in no particular order. Release
+	// swap-deletes, so a walk over the live objects touches only them.
+	live       []liveObject
+	name       func(int) string
 	allowSplit bool
 	policy     FitPolicy
 
@@ -135,11 +143,26 @@ type FB struct {
 	allocCount int
 }
 
+// liveHint presizes the live list: a Frame Buffer set rarely holds more
+// objects at once, so the list seldom grows.
+const liveHint = 32
+
+// liveObject is one placed object.
+type liveObject struct {
+	key int
+	p   Placement
+}
+
 // New returns an empty Frame Buffer set allocator of the given size in
-// bytes. allowSplit enables last-resort splitting across free blocks.
-func New(size int, allowSplit bool) *FB {
+// bytes for objects keyed in [0, keys). allowSplit enables last-resort
+// splitting across free blocks. name renders a key in error messages,
+// Live and String; the allocation path never calls it.
+func New(size int, allowSplit bool, keys int, name func(int) string) *FB {
 	if size <= 0 {
 		panic(fmt.Sprintf("alloc: non-positive FB size %d", size))
+	}
+	if keys < 0 {
+		panic(fmt.Sprintf("alloc: negative key space %d", keys))
 	}
 	// The free list rarely exceeds a handful of blocks (two-sided
 	// placement keeps fragmentation low); preallocating its capacity
@@ -149,7 +172,9 @@ func New(size int, allowSplit bool) *FB {
 	return &FB{
 		size:       size,
 		free:       free,
-		live:       make(map[string]Placement),
+		at:         make([]int32, keys),
+		live:       make([]liveObject, 0, min(keys, liveHint)),
+		name:       name,
 		allowSplit: allowSplit,
 	}
 }
@@ -195,45 +220,62 @@ func (fb *FB) LargestFree() int {
 	return max
 }
 
-// Lookup returns the placement of a live object.
-func (fb *FB) Lookup(name string) (Placement, bool) {
-	p, ok := fb.live[name]
-	return p, ok
+// Lookup returns the placement of the live object key.
+func (fb *FB) Lookup(key int) (Placement, bool) {
+	if key < 0 || key >= len(fb.at) || fb.at[key] == 0 {
+		return Placement{}, false
+	}
+	return fb.live[fb.at[key]-1].p, true
 }
 
 // Live returns the names of all live objects, sorted.
 func (fb *FB) Live() []string {
-	names := make([]string, 0, len(fb.live))
-	for n := range fb.live {
-		names = append(names, n)
+	names := make([]string, len(fb.live))
+	for i, o := range fb.live {
+		names[i] = fb.name(o.key)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// Reset empties the FB and clears statistics. The free list's backing
-// array and the live map are reused, so per-sweep-point FB churn (Reset
+// Reset empties the FB and clears statistics. The free list, the key
+// table and the live list are reused, so per-sweep-point FB churn (Reset
 // between points) does not allocate. The extent slab is left as it is:
 // placements handed out before Reset keep their extents.
 func (fb *FB) Reset() {
 	fb.free = append(fb.free[:0], Extent{Addr: 0, Len: fb.size})
+	for _, o := range fb.live {
+		fb.at[o.key] = 0
+	}
 	clear(fb.live)
+	fb.live = fb.live[:0]
 	fb.used, fb.peakUsed, fb.splitCount, fb.allocCount = 0, 0, 0, 0
+}
+
+// checkKey rejects a key outside the FB's key space.
+func (fb *FB) checkKey(key int) error {
+	if key < 0 || key >= len(fb.at) {
+		return fmt.Errorf("alloc: key %d outside the key space [0,%d)", key, len(fb.at))
+	}
+	return nil
 }
 
 // Alloc places a new object of the given size using first-fit from the
 // chosen direction. If preferAddr is >= 0 and the exact region
 // [preferAddr, preferAddr+size) is free, the object is placed there to
 // keep iteration-to-iteration addresses regular.
-func (fb *FB) Alloc(name string, size int, dir Dir, preferAddr int) (Placement, error) {
-	if size <= 0 {
-		return Placement{}, fmt.Errorf("alloc: non-positive size %d for %q", size, name)
+func (fb *FB) Alloc(key, size int, dir Dir, preferAddr int) (Placement, error) {
+	if err := fb.checkKey(key); err != nil {
+		return Placement{}, err
 	}
-	if _, dup := fb.live[name]; dup {
-		return Placement{}, fmt.Errorf("alloc: %q is already placed", name)
+	if size <= 0 {
+		return Placement{}, fmt.Errorf("alloc: non-positive size %d for %q", size, fb.name(key))
+	}
+	if fb.at[key] != 0 {
+		return Placement{}, fmt.Errorf("alloc: %q is already placed", fb.name(key))
 	}
 	if size > fb.Free() {
-		return Placement{}, fmt.Errorf("alloc: %q needs %d bytes, %d free: %w", name, size, fb.Free(), ErrNoSpace)
+		return Placement{}, fmt.Errorf("alloc: %q needs %d bytes, %d free: %w", fb.name(key), size, fb.Free(), ErrNoSpace)
 	}
 
 	var extents []Extent
@@ -244,7 +286,7 @@ func (fb *FB) Alloc(name string, size int, dir Dir, preferAddr int) (Placement, 
 	} else {
 		if !fb.allowSplit {
 			return Placement{}, fmt.Errorf("alloc: %q (%d bytes, largest free %d): %w",
-				name, size, fb.LargestFree(), ErrWouldSplit)
+				fb.name(key), size, fb.LargestFree(), ErrWouldSplit)
 		}
 		extents = fb.splitFit(size, dir)
 		fb.splitCount++
@@ -252,8 +294,9 @@ func (fb *FB) Alloc(name string, size int, dir Dir, preferAddr int) (Placement, 
 	for _, e := range extents {
 		fb.carve(e)
 	}
-	p := Placement{Name: name, Extents: extents}
-	fb.live[name] = p
+	p := Placement{Extents: extents}
+	fb.live = append(fb.live, liveObject{key, p})
+	fb.at[key] = int32(len(fb.live))
 	fb.used += size
 	fb.allocCount++
 	if fb.used > fb.peakUsed {
@@ -282,15 +325,24 @@ func (fb *FB) single(e Extent) []Extent {
 	return fb.slab[i : i+1 : i+1]
 }
 
-// Release frees a live object and coalesces the free list (the paper's
-// release(c,k,iter)). Releasing an unknown name is an error: the
-// schedulers must have perfectly matched lifetimes.
-func (fb *FB) Release(name string) error {
-	p, ok := fb.live[name]
-	if !ok {
-		return fmt.Errorf("alloc: release of %q which is not placed", name)
+// Release frees the live object key and coalesces the free list (the
+// paper's release(c,k,iter)). Releasing an object that is not placed is
+// an error: the schedulers must have perfectly matched lifetimes.
+func (fb *FB) Release(key int) error {
+	if err := fb.checkKey(key); err != nil {
+		return err
 	}
-	delete(fb.live, name)
+	i := int(fb.at[key]) - 1
+	if i < 0 {
+		return fmt.Errorf("alloc: release of %q which is not placed", fb.name(key))
+	}
+	p := fb.live[i].p
+	last := len(fb.live) - 1
+	fb.live[i] = fb.live[last]
+	fb.at[fb.live[i].key] = int32(i + 1)
+	fb.live[last] = liveObject{}
+	fb.live = fb.live[:last]
+	fb.at[key] = 0
 	for _, e := range p.Extents {
 		fb.insertFree(e)
 	}
@@ -468,10 +520,13 @@ func (fb *FB) CheckInvariants() error {
 	}
 	liveSum := 0
 	occupied := fb.scratch[:0]
-	for _, p := range fb.live {
-		for _, e := range p.Extents {
+	for i, o := range fb.live {
+		if int(fb.at[o.key]) != i+1 {
+			return fmt.Errorf("alloc: key table does not point at live %q", fb.name(o.key))
+		}
+		for _, e := range o.p.Extents {
 			if e.Len <= 0 || e.Addr < 0 || e.End() > fb.size {
-				return fmt.Errorf("alloc: live extent %+v of %q out of bounds", e, p.Name)
+				return fmt.Errorf("alloc: live extent %+v of %q out of bounds", e, fb.name(o.key))
 			}
 			occupied = append(occupied, e)
 			liveSum += e.Len
@@ -509,9 +564,9 @@ func (fb *FB) String() string {
 		name string
 	}
 	var segs []seg
-	for _, p := range fb.live {
-		for _, e := range p.Extents {
-			segs = append(segs, seg{e, p.Name})
+	for _, o := range fb.live {
+		for _, e := range o.p.Extents {
+			segs = append(segs, seg{e, fb.name(o.key)})
 		}
 	}
 	for _, e := range fb.free {

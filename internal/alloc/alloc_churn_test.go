@@ -14,43 +14,41 @@ import (
 // allocation per cycle. The seed spent 32 allocs per cycle, the in-place
 // carve 16 (one Extents slice per Alloc).
 func TestChurnAllocsPerCycle(t *testing.T) {
-	fb := New(8192, false)
-	names := make([]string, 16)
-	for i := range names {
-		names[i] = fmt.Sprintf("o%d", i)
-	}
+	const objects = 16
+	fb := New(8192, false, objects, objName)
 	cycle := func() {
-		for j, n := range names {
+		for k := range objects {
 			dir := FromTop
-			if j%2 == 1 {
+			if k%2 == 1 {
 				dir = FromBottom
 			}
-			if _, err := fb.Alloc(n, 64+j*16, dir, -1); err != nil {
+			if _, err := fb.Alloc(k, 64+k*16, dir, -1); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, n := range names {
-			if err := fb.Release(n); err != nil {
+		for k := range objects {
+			if err := fb.Release(k); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	cycle() // warm the map and the free list capacity
+	cycle() // warm the live list and the free list capacity
 	if avg := testing.AllocsPerRun(50, cycle); avg > 0 {
 		t.Errorf("churn cycle allocates %.1f times, want 0 (slab chunks amortized over cycles)", avg)
 	}
 }
 
 // TestResetDoesNotAllocate pins that per-sweep-point FB churn (Reset
-// between points) reuses the live map and the free list, and that Reset
+// between points) reuses the live list and the free list, and that Reset
 // keeps the extent slab, so the next Alloc does not start a new chunk.
 func TestResetDoesNotAllocate(t *testing.T) {
-	fb := New(4096, false)
-	if _, err := fb.Alloc("a", 256, FromTop, -1); err != nil {
+	fb, n := newFB(4096, false)
+	if _, err := fb.Alloc(n.key("a"), 256, FromTop, -1); err != nil {
 		t.Fatal(err)
 	}
+	b := n.key("b")
 	if avg := testing.AllocsPerRun(50, func() {
-		if _, err := fb.Alloc("b", 128, FromBottom, -1); err != nil {
+		if _, err := fb.Alloc(b, 128, FromBottom, -1); err != nil {
 			t.Fatal(err)
 		}
 		fb.Reset()
@@ -66,8 +64,8 @@ func TestResetDoesNotAllocate(t *testing.T) {
 // must not change when its slab slot's neighbours are handed out, when
 // it is released, or when the FB is reset and refilled.
 func TestPlacementOutlivesReleaseAndReset(t *testing.T) {
-	fb := New(1024, false)
-	kept, err := fb.Alloc("kept", 64, FromTop, -1)
+	fb, n := newFB(1024, false)
+	kept, err := fb.Alloc(n.key("kept"), 64, FromTop, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +76,7 @@ func TestPlacementOutlivesReleaseAndReset(t *testing.T) {
 			t.Fatalf("%s: kept placement has extents %+v, want %+v", when, kept.Extents, want)
 		}
 	}
-	next, err := fb.Alloc("next", 32, FromTop, -1)
+	next, err := fb.Alloc(n.key("next"), 32, FromTop, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +87,7 @@ func TestPlacementOutlivesReleaseAndReset(t *testing.T) {
 	if got := next.Extents; len(got) != 1 || got[0] != (Extent{Addr: 928, Len: 32}) {
 		t.Fatalf("append to a kept placement changed its neighbour to %+v", got)
 	}
-	if err := fb.Release("kept"); err != nil {
+	if err := fb.Release(n.key("kept")); err != nil {
 		t.Fatal(err)
 	}
 	check("after Release")
@@ -97,7 +95,7 @@ func TestPlacementOutlivesReleaseAndReset(t *testing.T) {
 	// then refill from the bottom.
 	fb.Reset()
 	for i := 0; i < 4; i++ {
-		if _, err := fb.Alloc(fmt.Sprintf("r%d", i), 64, FromBottom, -1); err != nil {
+		if _, err := fb.Alloc(n.key(fmt.Sprintf("r%d", i)), 64, FromBottom, -1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,11 +103,11 @@ func TestPlacementOutlivesReleaseAndReset(t *testing.T) {
 	// Reuse its old address over enough placements to pass several
 	// slab chunks.
 	for i := 0; i < 300; i++ {
-		name := fmt.Sprintf("o%d", i)
-		if _, err := fb.Alloc(name, 64, FromTop, 960); err != nil {
+		k := n.key(fmt.Sprintf("o%d", i))
+		if _, err := fb.Alloc(k, 64, FromTop, 960); err != nil {
 			t.Fatal(err)
 		}
-		if err := fb.Release(name); err != nil {
+		if err := fb.Release(k); err != nil {
 			t.Fatal(err)
 		}
 	}

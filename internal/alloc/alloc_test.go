@@ -2,29 +2,56 @@ package alloc
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func mustAlloc(t *testing.T, fb *FB, name string, size int, dir Dir) Placement {
+// testKeys bounds the key space of the tests' allocators.
+const testKeys = 1024
+
+// objName renders key k as "o<k>".
+func objName(k int) string { return "o" + strconv.Itoa(k) }
+
+// names interns the tests' object names as dense keys; the FB renders a
+// key back by its name.
+type names struct{ list []string }
+
+func (n *names) key(name string) int {
+	if i := slices.Index(n.list, name); i >= 0 {
+		return i
+	}
+	n.list = append(n.list, name)
+	return len(n.list) - 1
+}
+
+func (n *names) name(k int) string { return n.list[k] }
+
+// newFB returns an allocator whose keys come from the returned names.
+func newFB(size int, allowSplit bool) (*FB, *names) {
+	n := &names{}
+	return New(size, allowSplit, testKeys, n.name), n
+}
+
+func mustAlloc(t *testing.T, fb *FB, key, size int, dir Dir) Placement {
 	t.Helper()
-	p, err := fb.Alloc(name, size, dir, -1)
+	p, err := fb.Alloc(key, size, dir, -1)
 	if err != nil {
-		t.Fatalf("Alloc(%s, %d, %v): %v", name, size, dir, err)
+		t.Fatalf("Alloc(%s, %d, %v): %v", fb.name(key), size, dir, err)
 	}
 	return p
 }
 
 func TestAllocFromTopAndBottom(t *testing.T) {
-	fb := New(100, false)
-	top := mustAlloc(t, fb, "data", 30, FromTop)
+	fb, n := newFB(100, false)
+	top := mustAlloc(t, fb, n.key("data"), 30, FromTop)
 	if top.Addr() != 70 {
 		t.Errorf("FromTop first alloc at %d, want 70", top.Addr())
 	}
-	bot := mustAlloc(t, fb, "result", 20, FromBottom)
+	bot := mustAlloc(t, fb, n.key("result"), 20, FromBottom)
 	if bot.Addr() != 0 {
 		t.Errorf("FromBottom first alloc at %d, want 0", bot.Addr())
 	}
@@ -37,28 +64,28 @@ func TestAllocFromTopAndBottom(t *testing.T) {
 }
 
 func TestAllocStacksFromEachEnd(t *testing.T) {
-	fb := New(100, false)
-	a := mustAlloc(t, fb, "a", 10, FromTop) // 90..100
-	b := mustAlloc(t, fb, "b", 10, FromTop) // 80..90
-	c := mustAlloc(t, fb, "c", 10, FromBottom)
-	d := mustAlloc(t, fb, "d", 10, FromBottom)
+	fb, n := newFB(100, false)
+	a := mustAlloc(t, fb, n.key("a"), 10, FromTop) // 90..100
+	b := mustAlloc(t, fb, n.key("b"), 10, FromTop) // 80..90
+	c := mustAlloc(t, fb, n.key("c"), 10, FromBottom)
+	d := mustAlloc(t, fb, n.key("d"), 10, FromBottom)
 	if a.Addr() != 90 || b.Addr() != 80 || c.Addr() != 0 || d.Addr() != 10 {
 		t.Errorf("addrs = %d,%d,%d,%d; want 90,80,0,10", a.Addr(), b.Addr(), c.Addr(), d.Addr())
 	}
 }
 
 func TestReleaseCoalesces(t *testing.T) {
-	fb := New(100, false)
-	mustAlloc(t, fb, "a", 30, FromBottom) // 0..30
-	mustAlloc(t, fb, "b", 30, FromBottom) // 30..60
-	mustAlloc(t, fb, "c", 30, FromBottom) // 60..90
-	if err := fb.Release("b"); err != nil {
+	fb, n := newFB(100, false)
+	mustAlloc(t, fb, n.key("a"), 30, FromBottom) // 0..30
+	mustAlloc(t, fb, n.key("b"), 30, FromBottom) // 30..60
+	mustAlloc(t, fb, n.key("c"), 30, FromBottom) // 60..90
+	if err := fb.Release(n.key("b")); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(fb.FreeBlocks()); got != 2 {
 		t.Fatalf("free blocks = %d, want 2 (hole + tail)", got)
 	}
-	if err := fb.Release("a"); err != nil {
+	if err := fb.Release(n.key("a")); err != nil {
 		t.Fatal(err)
 	}
 	// a's range must coalesce with b's hole: 0..60 plus 90..100.
@@ -66,7 +93,7 @@ func TestReleaseCoalesces(t *testing.T) {
 	if len(blocks) != 2 || blocks[0] != (Extent{0, 60}) || blocks[1] != (Extent{90, 10}) {
 		t.Fatalf("free blocks = %+v, want [{0 60} {90 10}]", blocks)
 	}
-	if err := fb.Release("c"); err != nil {
+	if err := fb.Release(n.key("c")); err != nil {
 		t.Fatal(err)
 	}
 	blocks = fb.FreeBlocks()
@@ -79,69 +106,80 @@ func TestReleaseCoalesces(t *testing.T) {
 }
 
 func TestReleaseUnknown(t *testing.T) {
-	fb := New(10, false)
-	if err := fb.Release("ghost"); err == nil {
+	fb, n := newFB(10, false)
+	if err := fb.Release(n.key("ghost")); err == nil {
 		t.Fatal("Release(ghost) = nil, want error")
+	}
+	for _, k := range []int{-1, testKeys} {
+		if err := fb.Release(k); err == nil {
+			t.Errorf("Release(%d) outside the key space = nil, want error", k)
+		}
+		if _, err := fb.Alloc(k, 1, FromTop, -1); err == nil {
+			t.Errorf("Alloc(%d) outside the key space succeeded", k)
+		}
+		if _, ok := fb.Lookup(k); ok {
+			t.Errorf("Lookup(%d) outside the key space found an object", k)
+		}
 	}
 }
 
 func TestAllocDuplicateName(t *testing.T) {
-	fb := New(100, false)
-	mustAlloc(t, fb, "x", 10, FromTop)
-	if _, err := fb.Alloc("x", 10, FromTop, -1); err == nil {
+	fb, n := newFB(100, false)
+	mustAlloc(t, fb, n.key("x"), 10, FromTop)
+	if _, err := fb.Alloc(n.key("x"), 10, FromTop, -1); err == nil {
 		t.Fatal("duplicate alloc succeeded")
 	}
 }
 
 func TestAllocBadSize(t *testing.T) {
-	fb := New(100, false)
-	if _, err := fb.Alloc("z", 0, FromTop, -1); err == nil {
+	fb, n := newFB(100, false)
+	if _, err := fb.Alloc(n.key("z"), 0, FromTop, -1); err == nil {
 		t.Fatal("zero-size alloc succeeded")
 	}
-	if _, err := fb.Alloc("z", -3, FromTop, -1); err == nil {
+	if _, err := fb.Alloc(n.key("z"), -3, FromTop, -1); err == nil {
 		t.Fatal("negative-size alloc succeeded")
 	}
 }
 
 func TestAllocNoSpace(t *testing.T) {
-	fb := New(100, true)
-	mustAlloc(t, fb, "big", 90, FromTop)
-	_, err := fb.Alloc("more", 20, FromTop, -1)
+	fb, n := newFB(100, true)
+	mustAlloc(t, fb, n.key("big"), 90, FromTop)
+	_, err := fb.Alloc(n.key("more"), 20, FromTop, -1)
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("err = %v, want ErrNoSpace", err)
 	}
 }
 
 func TestAllocWouldSplit(t *testing.T) {
-	fb := New(100, false)
-	mustAlloc(t, fb, "a", 40, FromBottom) // 0..40
-	mustAlloc(t, fb, "b", 20, FromBottom) // 40..60
-	mustAlloc(t, fb, "c", 40, FromBottom) // 60..100
-	if err := fb.Release("a"); err != nil {
+	fb, n := newFB(100, false)
+	mustAlloc(t, fb, n.key("a"), 40, FromBottom) // 0..40
+	mustAlloc(t, fb, n.key("b"), 20, FromBottom) // 40..60
+	mustAlloc(t, fb, n.key("c"), 40, FromBottom) // 60..100
+	if err := fb.Release(n.key("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.Release("c"); err != nil {
+	if err := fb.Release(n.key("c")); err != nil {
 		t.Fatal(err)
 	}
 	// Free: 0..40 and 60..100; 70 bytes only fits split.
-	_, err := fb.Alloc("wide", 70, FromTop, -1)
+	_, err := fb.Alloc(n.key("wide"), 70, FromTop, -1)
 	if !errors.Is(err, ErrWouldSplit) {
 		t.Fatalf("err = %v, want ErrWouldSplit", err)
 	}
 }
 
 func TestAllocSplit(t *testing.T) {
-	fb := New(100, true)
-	mustAlloc(t, fb, "a", 40, FromBottom)
-	mustAlloc(t, fb, "b", 20, FromBottom)
-	mustAlloc(t, fb, "c", 40, FromBottom)
-	if err := fb.Release("a"); err != nil {
+	fb, n := newFB(100, true)
+	mustAlloc(t, fb, n.key("a"), 40, FromBottom)
+	mustAlloc(t, fb, n.key("b"), 20, FromBottom)
+	mustAlloc(t, fb, n.key("c"), 40, FromBottom)
+	if err := fb.Release(n.key("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.Release("c"); err != nil {
+	if err := fb.Release(n.key("c")); err != nil {
 		t.Fatal(err)
 	}
-	p, err := fb.Alloc("wide", 70, FromTop, -1)
+	p, err := fb.Alloc(n.key("wide"), 70, FromTop, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +198,7 @@ func TestAllocSplit(t *testing.T) {
 			t.Errorf("extents not ascending: %+v", p.Extents)
 		}
 	}
-	if err := fb.Release("wide"); err != nil {
+	if err := fb.Release(n.key("wide")); err != nil {
 		t.Fatal(err)
 	}
 	if err := fb.CheckInvariants(); err != nil {
@@ -169,15 +207,15 @@ func TestAllocSplit(t *testing.T) {
 }
 
 func TestPreferredAddressRegularity(t *testing.T) {
-	fb := New(100, false)
-	p1 := mustAlloc(t, fb, "d#0", 20, FromTop) // 80..100
-	mustAlloc(t, fb, "x", 10, FromTop)         // 70..80
-	if err := fb.Release("d#0"); err != nil {
+	fb, n := newFB(100, false)
+	p1 := mustAlloc(t, fb, n.key("d#0"), 20, FromTop) // 80..100
+	mustAlloc(t, fb, n.key("x"), 10, FromTop)         // 70..80
+	if err := fb.Release(n.key("d#0")); err != nil {
 		t.Fatal(err)
 	}
 	// Next iteration of d wants the same address even though first-fit
 	// from top would also give 80.
-	p2, err := fb.Alloc("d#1", 20, FromTop, p1.Addr())
+	p2, err := fb.Alloc(n.key("d#1"), 20, FromTop, p1.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +223,7 @@ func TestPreferredAddressRegularity(t *testing.T) {
 		t.Errorf("iteration 1 at %d, iteration 0 at %d: regularity broken", p2.Addr(), p1.Addr())
 	}
 	// When the preferred region is occupied, fall back to first-fit.
-	p3, err := fb.Alloc("d#2", 20, FromTop, p1.Addr())
+	p3, err := fb.Alloc(n.key("d#2"), 20, FromTop, p1.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,27 +233,27 @@ func TestPreferredAddressRegularity(t *testing.T) {
 }
 
 func TestFirstFitSkipsSmallBlocks(t *testing.T) {
-	fb := New(100, false)
-	mustAlloc(t, fb, "a", 10, FromBottom)   // 0..10
-	mustAlloc(t, fb, "b", 30, FromBottom)   // 10..40
-	mustAlloc(t, fb, "c", 60, FromBottom)   // 40..100
-	if err := fb.Release("a"); err != nil { // hole 0..10
+	fb, n := newFB(100, false)
+	mustAlloc(t, fb, n.key("a"), 10, FromBottom)   // 0..10
+	mustAlloc(t, fb, n.key("b"), 30, FromBottom)   // 10..40
+	mustAlloc(t, fb, n.key("c"), 60, FromBottom)   // 40..100
+	if err := fb.Release(n.key("a")); err != nil { // hole 0..10
 		t.Fatal(err)
 	}
-	if err := fb.Release("c"); err != nil { // hole 40..100
+	if err := fb.Release(n.key("c")); err != nil { // hole 40..100
 		t.Fatal(err)
 	}
-	p := mustAlloc(t, fb, "d", 20, FromBottom)
+	p := mustAlloc(t, fb, n.key("d"), 20, FromBottom)
 	if p.Addr() != 40 {
 		t.Errorf("first-fit from bottom chose %d, want 40 (skip the 10-byte hole)", p.Addr())
 	}
 }
 
 func TestPeakUsedTracksHighWater(t *testing.T) {
-	fb := New(100, false)
-	mustAlloc(t, fb, "a", 60, FromTop)
-	mustAlloc(t, fb, "b", 30, FromBottom)
-	if err := fb.Release("a"); err != nil {
+	fb, n := newFB(100, false)
+	mustAlloc(t, fb, n.key("a"), 60, FromTop)
+	mustAlloc(t, fb, n.key("b"), 30, FromBottom)
+	if err := fb.Release(n.key("a")); err != nil {
 		t.Fatal(err)
 	}
 	if fb.PeakUsed() != 90 {
@@ -227,13 +265,13 @@ func TestPeakUsedTracksHighWater(t *testing.T) {
 }
 
 func TestLookupAndLive(t *testing.T) {
-	fb := New(100, false)
-	mustAlloc(t, fb, "b", 10, FromTop)
-	mustAlloc(t, fb, "a", 10, FromTop)
-	if _, ok := fb.Lookup("a"); !ok {
+	fb, n := newFB(100, false)
+	mustAlloc(t, fb, n.key("b"), 10, FromTop)
+	mustAlloc(t, fb, n.key("a"), 10, FromTop)
+	if _, ok := fb.Lookup(n.key("a")); !ok {
 		t.Error("Lookup(a) missing")
 	}
-	if _, ok := fb.Lookup("zz"); ok {
+	if _, ok := fb.Lookup(n.key("zz")); ok {
 		t.Error("Lookup(zz) found phantom")
 	}
 	live := fb.Live()
@@ -243,8 +281,8 @@ func TestLookupAndLive(t *testing.T) {
 }
 
 func TestResetClears(t *testing.T) {
-	fb := New(100, true)
-	mustAlloc(t, fb, "a", 50, FromTop)
+	fb, n := newFB(100, true)
+	mustAlloc(t, fb, n.key("a"), 50, FromTop)
 	fb.Reset()
 	if fb.Used() != 0 || fb.PeakUsed() != 0 || fb.Allocs() != 0 {
 		t.Error("Reset left statistics behind")
@@ -255,9 +293,9 @@ func TestResetClears(t *testing.T) {
 }
 
 func TestStringRendersSegments(t *testing.T) {
-	fb := New(100, false)
-	mustAlloc(t, fb, "r13", 20, FromBottom)
-	mustAlloc(t, fb, "d37", 30, FromTop)
+	fb, n := newFB(100, false)
+	mustAlloc(t, fb, n.key("r13"), 20, FromBottom)
+	mustAlloc(t, fb, n.key("d37"), 30, FromTop)
 	s := fb.String()
 	for _, want := range []string{"0:r13[20]", "70:d37[30]", "20:-[50]"} {
 		if !strings.Contains(s, want) {
@@ -271,27 +309,25 @@ func TestStringRendersSegments(t *testing.T) {
 func TestRandomizedInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
-		fb := New(1+rng.Intn(4096), rng.Intn(2) == 0)
-		var names []string
-		id := 0
-		for op := 0; op < 300; op++ {
-			if len(names) > 0 && rng.Intn(3) == 0 {
-				i := rng.Intn(len(names))
-				if err := fb.Release(names[i]); err != nil {
+		const ops = 300
+		fb := New(1+rng.Intn(4096), rng.Intn(2) == 0, ops, objName)
+		var live []int
+		for op := 0; op < ops; op++ {
+			if len(live) > 0 && rng.Intn(3) == 0 {
+				i := rng.Intn(len(live))
+				if err := fb.Release(live[i]); err != nil {
 					t.Fatalf("trial %d op %d: %v", trial, op, err)
 				}
-				names = append(names[:i], names[i+1:]...)
+				live = append(live[:i], live[i+1:]...)
 			} else {
-				name := fmt.Sprintf("o%d", id)
-				id++
 				size := 1 + rng.Intn(fb.Size()/2+1)
 				dir := Dir(rng.Intn(2))
 				prefer := -1
 				if rng.Intn(4) == 0 {
 					prefer = rng.Intn(fb.Size())
 				}
-				if _, err := fb.Alloc(name, size, dir, prefer); err == nil {
-					names = append(names, name)
+				if _, err := fb.Alloc(op, size, dir, prefer); err == nil {
+					live = append(live, op)
 				}
 			}
 			if err := fb.CheckInvariants(); err != nil {
@@ -305,20 +341,20 @@ func TestRandomizedInvariants(t *testing.T) {
 // restores the exact free byte count.
 func TestQuickAllocReleaseRoundTrip(t *testing.T) {
 	f := func(szRaw uint16, dirRaw bool) bool {
-		fb := New(4096, true)
+		fb, n := newFB(4096, true)
 		size := int(szRaw)%4096 + 1
 		dir := FromTop
 		if dirRaw {
 			dir = FromBottom
 		}
 		before := fb.Free()
-		if _, err := fb.Alloc("x", size, dir, -1); err != nil {
+		if _, err := fb.Alloc(n.key("x"), size, dir, -1); err != nil {
 			return false
 		}
 		if fb.Free() != before-size {
 			return false
 		}
-		if err := fb.Release("x"); err != nil {
+		if err := fb.Release(n.key("x")); err != nil {
 			return false
 		}
 		return fb.Free() == before && len(fb.FreeBlocks()) == 1

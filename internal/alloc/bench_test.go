@@ -1,32 +1,26 @@
 package alloc
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // BenchmarkAllocReleaseChurn measures steady-state alloc/release cycles
 // with the two-sided discipline the schedulers use.
 func BenchmarkAllocReleaseChurn(b *testing.B) {
-	fb := New(8192, false)
-	names := make([]string, 16)
-	for i := range names {
-		names[i] = fmt.Sprintf("o%d", i)
-	}
+	const objects = 16
+	fb := New(8192, false, objects, objName)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j, n := range names {
+		for k := range objects {
 			dir := FromTop
-			if j%2 == 1 {
+			if k%2 == 1 {
 				dir = FromBottom
 			}
-			if _, err := fb.Alloc(n, 64+j*16, dir, -1); err != nil {
+			if _, err := fb.Alloc(k, 64+k*16, dir, -1); err != nil {
 				b.Fatal(err)
 			}
 		}
-		for _, n := range names {
-			if err := fb.Release(n); err != nil {
+		for k := range objects {
+			if err := fb.Release(k); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -39,26 +33,28 @@ func BenchmarkFirstFitFragmented(b *testing.B) {
 	for _, pol := range []FitPolicy{FirstFit, BestFit, WorstFit} {
 		pol := pol
 		b.Run(pol.String(), func(b *testing.B) {
-			fb := New(1<<16, false)
+			// Keys 0..127 are the fragmenting blocks, 128 the probe.
+			const probe = 128
+			fb := New(1<<16, false, probe+1, objName)
 			fb.SetFitPolicy(pol)
 			// Build fragmentation: allocate 128 blocks, free every other.
-			for i := 0; i < 128; i++ {
-				if _, err := fb.Alloc(fmt.Sprintf("f%d", i), 256, FromBottom, -1); err != nil {
+			for k := 0; k < probe; k++ {
+				if _, err := fb.Alloc(k, 256, FromBottom, -1); err != nil {
 					b.Fatal(err)
 				}
 			}
-			for i := 0; i < 128; i += 2 {
-				if err := fb.Release(fmt.Sprintf("f%d", i)); err != nil {
+			for k := 0; k < probe; k += 2 {
+				if err := fb.Release(k); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := fb.Alloc("probe", 128, FromTop, -1); err != nil {
+				if _, err := fb.Alloc(probe, 128, FromTop, -1); err != nil {
 					b.Fatal(err)
 				}
-				if err := fb.Release("probe"); err != nil {
+				if err := fb.Release(probe); err != nil {
 					b.Fatal(err)
 				}
 			}

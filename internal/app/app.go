@@ -83,6 +83,8 @@ type App struct {
 	kernelOut  [][]int32 // per kernel: output datum IDs in declared order
 	producerID []int32   // per datum: producing kernel index, -1 if external
 	lastUseID  []int32   // per datum: last consuming kernel index, -1 if none
+	ctxGroupOf []int32   // per kernel: context group ID
+	ctxGroups  []string  // per context group ID: the group's name
 }
 
 // NumKernels returns the number of kernels in the sequence.

@@ -1,13 +1,15 @@
 package app
 
 // Interned-ID view of the application, built once at Builder seal time
-// (finalize). A datum's ID is its index into App.Data; the tables below
+// (finalize). A datum's ID is its index into App.Data, a context group's
+// its order of first use among the kernels; the tables below
 // give the hot paths (extract, the schedulers, verify) slice-indexed
 // access to the dataflow so the inner loops never hash a string.
 
 // internIDs builds the dense-ID tables. Called from finalize after the
 // name-keyed maps are validated, so every name resolves.
 func (a *App) internIDs() {
+	a.ctxGroupOf, a.ctxGroups = a.internCtxGroups()
 	a.kernelIn = make([][]int32, len(a.Kernels))
 	a.kernelOut = make([][]int32, len(a.Kernels))
 	a.producerID = make([]int32, len(a.Data))
@@ -36,6 +38,35 @@ func (a *App) internIDs() {
 			a.lastUseID[a.dataIdx[name]] = int32(cs[len(cs)-1])
 		}
 	}
+}
+
+// internCtxGroups numbers the kernels' context groups densely in order of
+// first use: of[ki] is kernel ki's group ID, names[g] group g's name.
+func (a *App) internCtxGroups() (of []int32, names []string) {
+	of = make([]int32, len(a.Kernels))
+	ids := make(map[string]int32, len(a.Kernels))
+	for ki := range a.Kernels {
+		g := a.Kernels[ki].CtxGroup()
+		id, ok := ids[g]
+		if !ok {
+			id = int32(len(names))
+			ids[g] = id
+			names = append(names, g)
+		}
+		of[ki] = id
+	}
+	return of, names
+}
+
+// CtxGroups returns the kernels' context groups as dense IDs: of[ki] is
+// kernel ki's group ID and names[g] the name of group g, numbered in
+// order of first use. A finalized app returns the tables Finalize built,
+// which must not be modified; any other app builds them per call.
+func (a *App) CtxGroups() (of []int32, names []string) {
+	if a.ctxGroupOf == nil {
+		return a.internCtxGroups()
+	}
+	return a.ctxGroupOf, a.ctxGroups
 }
 
 // NumData returns the number of data objects (the ID space is [0, NumData)).

@@ -2,6 +2,9 @@ package arch
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -139,14 +142,35 @@ func TestFormatSize(t *testing.T) {
 	}
 }
 
+// groupNames interns the tests' context group names as dense IDs; the
+// CM renders an ID back by its name.
+type groupNames struct{ list []string }
+
+func (n *groupNames) id(name string) int {
+	if i := slices.Index(n.list, name); i >= 0 {
+		return i
+	}
+	n.list = append(n.list, name)
+	return len(n.list) - 1
+}
+
+func (n *groupNames) name(g int) string { return n.list[g] }
+
+// newCM returns a context memory whose group IDs come from the returned
+// names.
+func newCM(capacityWords int) (*ContextMemory, *groupNames) {
+	n := &groupNames{}
+	return NewContextMemory(capacityWords, 0, n.name), n
+}
+
 func TestContextMemoryLoadAndHit(t *testing.T) {
-	cm := NewContextMemory(100)
-	moved, err := cm.Load("dct", 40)
+	cm, n := newCM(100)
+	moved, err := cm.Load(n.id("dct"), 40)
 	if err != nil || moved != 40 {
 		t.Fatalf("Load(dct) = (%d, %v), want (40, nil)", moved, err)
 	}
 	// Second load is a hit: no words move.
-	moved, err = cm.Load("dct", 40)
+	moved, err = cm.Load(n.id("dct"), 40)
 	if err != nil || moved != 0 {
 		t.Fatalf("reload of resident kernel = (%d, %v), want (0, nil)", moved, err)
 	}
@@ -156,14 +180,14 @@ func TestContextMemoryLoadAndHit(t *testing.T) {
 }
 
 func TestContextMemoryFIFOEviction(t *testing.T) {
-	cm := NewContextMemory(100)
-	mustLoad(t, cm, "a", 40)
-	mustLoad(t, cm, "b", 40)
-	mustLoad(t, cm, "c", 40) // must evict a (oldest)
-	if cm.Resident("a") {
+	cm, n := newCM(100)
+	mustLoad(t, cm, n, "a", 40)
+	mustLoad(t, cm, n, "b", 40)
+	mustLoad(t, cm, n, "c", 40) // must evict a (oldest)
+	if cm.Resident(n.id("a")) {
 		t.Error("kernel a still resident, want FIFO eviction")
 	}
-	if !cm.Resident("b") || !cm.Resident("c") {
+	if !cm.Resident(n.id("b")) || !cm.Resident(n.id("c")) {
 		t.Error("kernels b and c should be resident")
 	}
 	if cm.Used() != 80 {
@@ -172,26 +196,32 @@ func TestContextMemoryFIFOEviction(t *testing.T) {
 }
 
 func TestContextMemoryTooLarge(t *testing.T) {
-	cm := NewContextMemory(32)
-	if _, err := cm.Load("huge", 33); !errors.Is(err, ErrDoesNotFit) {
+	cm, n := newCM(32)
+	_, err := cm.Load(n.id("huge"), 33)
+	if !errors.Is(err, ErrDoesNotFit) {
 		t.Fatalf("Load(huge) err = %v, want ErrDoesNotFit", err)
 	}
-	if _, err := cm.Load("neg", -1); err == nil {
+	if want := `arch: kernel "huge" needs 33 context words, CM holds 32: `; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("Load(huge) err = %q, want prefix %q", err, want)
+	}
+	if _, err := cm.Load(n.id("neg"), -1); err == nil {
 		t.Fatal("Load with negative size: want error")
+	} else if want := `arch: negative context size -1 for kernel "neg"`; err.Error() != want {
+		t.Errorf("Load(neg) err = %q, want %q", err, want)
 	}
 }
 
 func TestContextMemoryEvictAndReset(t *testing.T) {
-	cm := NewContextMemory(64)
-	mustLoad(t, cm, "a", 10)
-	mustLoad(t, cm, "b", 20)
-	cm.Evict("a")
-	if cm.Resident("a") || cm.Used() != 20 {
-		t.Errorf("after Evict(a): resident=%v used=%d, want false/20", cm.Resident("a"), cm.Used())
+	cm, n := newCM(64)
+	mustLoad(t, cm, n, "a", 10)
+	mustLoad(t, cm, n, "b", 20)
+	cm.Evict(n.id("a"))
+	if cm.Resident(n.id("a")) || cm.Used() != 20 {
+		t.Errorf("after Evict(a): resident=%v used=%d, want false/20", cm.Resident(n.id("a")), cm.Used())
 	}
-	cm.Evict("a") // idempotent
+	cm.Evict(n.id("a")) // idempotent
 	cm.Reset()
-	if cm.Used() != 0 || cm.Resident("b") {
+	if cm.Used() != 0 || cm.Resident(n.id("b")) {
 		t.Error("Reset did not clear the context memory")
 	}
 }
@@ -199,18 +229,17 @@ func TestContextMemoryEvictAndReset(t *testing.T) {
 func TestContextMemoryAccountingInvariant(t *testing.T) {
 	// Property: after any sequence of loads, used == sum of resident
 	// sizes and never exceeds capacity.
-	cm := NewContextMemory(128)
+	cm, n := newCM(128)
 	names := []string{"k0", "k1", "k2", "k3", "k4", "k5"}
 	sizes := []int{16, 48, 64, 32, 128, 8}
 	for step := 0; step < 200; step++ {
-		n := names[step%len(names)]
-		if _, err := cm.Load(n, sizes[step%len(sizes)]); err != nil {
+		if _, err := cm.Load(n.id(names[step%len(names)]), sizes[step%len(sizes)]); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		sum := 0
 		for _, name := range names {
-			if cm.Resident(name) {
-				sum += cm.resident[name]
+			if g := n.id(name); cm.Resident(g) {
+				sum += cm.group[g].words
 			}
 		}
 		if sum != cm.Used() {
@@ -222,6 +251,77 @@ func TestContextMemoryAccountingInvariant(t *testing.T) {
 	}
 }
 
+// TestContextMemoryFIFOAfterEvict checks FIFO order against a model
+// load-order list over random loads, out-of-turn evictions and resets:
+// the CM evicts exactly the oldest resident groups, whatever entries
+// Evict left behind in its load order.
+func TestContextMemoryFIFOAfterEvict(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const groups = 9
+	cm := NewContextMemory(100, groups, func(g int) string { return fmt.Sprint("g", g) })
+	size := func(g int) int { return 10 + 7*g }
+	var model []int // resident groups, oldest first
+	used := func() int {
+		u := 0
+		for _, g := range model {
+			u += size(g)
+		}
+		return u
+	}
+	for step := 0; step < 2000; step++ {
+		g := rng.Intn(groups)
+		switch r := rng.Intn(10); {
+		case r == 0:
+			cm.Evict(g)
+			if i := slices.Index(model, g); i >= 0 {
+				model = slices.Delete(model, i, i+1)
+			}
+		case r == 1 && step%50 == 0:
+			cm.Reset()
+			model = model[:0]
+		default:
+			want := 0
+			if !slices.Contains(model, g) {
+				for used()+size(g) > 100 {
+					model = model[1:]
+				}
+				model = append(model, g)
+				want = size(g)
+			}
+			if moved, err := cm.Load(g, size(g)); err != nil || moved != want {
+				t.Fatalf("step %d: Load(g%d) = (%d, %v), want (%d, nil)", step, g, moved, err, want)
+			}
+		}
+		for h := 0; h < groups; h++ {
+			if cm.Resident(h) != slices.Contains(model, h) {
+				t.Fatalf("step %d: Resident(g%d) = %v, model %v", step, h, cm.Resident(h), model)
+			}
+		}
+		if cm.Used() != used() {
+			t.Fatalf("step %d: used %d, model %d", step, cm.Used(), used())
+		}
+	}
+}
+
+// TestContextMemoryLoadAllocs pins that a warm context memory's FIFO
+// churn allocates nothing: loads, evictions and the load-order
+// compaction reuse the CM's tables.
+func TestContextMemoryLoadAllocs(t *testing.T) {
+	const groups = 8
+	cm := NewContextMemory(100, groups, func(g int) string { return fmt.Sprint("g", g) })
+	cycle := func() {
+		for g := 0; g < groups; g++ {
+			if _, err := cm.Load(g, 30); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cycle() // warm the load order's capacity
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("steady-state Load cycle allocates %.1f times, want 0", avg)
+	}
+}
+
 // TestContextMemoryCorruptAccountingIsError: a CM whose accounting has
 // broken (words counted used with nothing evictable) must report a typed
 // error from the eviction path, not panic. The state is unreachable
@@ -229,11 +329,11 @@ func TestContextMemoryAccountingInvariant(t *testing.T) {
 // must match both ErrCMCorrupt and the taxonomy's ErrInternal so a long
 // sweep can report the item and keep going.
 func TestContextMemoryCorruptAccountingIsError(t *testing.T) {
-	cm := NewContextMemory(64)
-	mustLoad(t, cm, "a", 40)
+	cm, n := newCM(64)
+	mustLoad(t, cm, n, "a", 40)
 	// Corrupt: drop the eviction order while words stay accounted used.
 	cm.order = nil
-	moved, err := cm.Load("b", 40) // needs eviction, nothing to evict
+	moved, err := cm.Load(n.id("b"), 40) // needs eviction, nothing to evict
 	if moved != 0 {
 		t.Fatalf("corrupt Load moved %d words, want 0", moved)
 	}
@@ -249,9 +349,9 @@ func TestContextMemoryCorruptAccountingIsError(t *testing.T) {
 	}
 }
 
-func mustLoad(t *testing.T, cm *ContextMemory, kernel string, words int) {
+func mustLoad(t *testing.T, cm *ContextMemory, n *groupNames, kernel string, words int) {
 	t.Helper()
-	if _, err := cm.Load(kernel, words); err != nil {
+	if _, err := cm.Load(n.id(kernel), words); err != nil {
 		t.Fatalf("Load(%s, %d): %v", kernel, words, err)
 	}
 }

@@ -40,18 +40,32 @@ func Check(p *Program, sched *core.Schedule) (*CheckReport, error) {
 		return nil, err
 	}
 	rep := &CheckReport{}
-	cm := arch.NewContextMemory(p.Arch.CMWords)
 
-	// kernelWords (keyed by context group) and the kernels' outputs
-	// come from the schedule when present.
-	kernelWords := map[string]int{}
 	var (
 		a    *app.App
 		inst core.Instances
 		// produced[key] marks an instance an EXEC'd kernel wrote that
 		// is still storable.
 		produced []bool
+		// groups names the context groups by ID, in order of first
+		// use: with a schedule the app's groups come first, appGroups
+		// of them. words[g] is group g's context words under the
+		// schedule, 0 for a group the app does not have.
+		groups    []string
+		words     []int
+		appGroups int
 	)
+	groupID := map[string]int{}
+	intern := func(name string) int {
+		g, ok := groupID[name]
+		if !ok {
+			g = len(groups)
+			groupID[name] = g
+			groups = append(groups, name)
+			words = append(words, 0)
+		}
+		return g
+	}
 	if sched != nil {
 		a = sched.P.App
 		if !a.Finalized() {
@@ -59,10 +73,13 @@ func Check(p *Program, sched *core.Schedule) (*CheckReport, error) {
 		}
 		inst = core.InstancesOf(sched)
 		produced = make([]bool, inst.Len())
-		for _, k := range a.Kernels {
-			kernelWords[k.CtxGroup()] = k.ContextWords
+		for ki := range a.Kernels {
+			words[intern(a.Kernels[ki].CtxGroup())] = a.Kernels[ki].ContextWords
 		}
+		appGroups = len(groups)
 	}
+	cm := arch.NewContextMemory(p.Arch.CMWords, len(groups), func(g int) string { return groups[g] })
+
 	// EXECs of one kernel come in runs: remember the last one's index.
 	lastKernel := -1
 
@@ -75,15 +92,16 @@ func Check(p *Program, sched *core.Schedule) (*CheckReport, error) {
 			if in.Words <= 0 {
 				return nil, fail("non-positive context words")
 			}
+			g := intern(in.Kernel)
 			want := in.Words
 			if sched != nil {
-				if w, ok := kernelWords[in.Kernel]; ok && in.Words > w {
-					return nil, fail("loads %d words but kernel has %d", in.Words, w)
+				if g < appGroups && in.Words > words[g] {
+					return nil, fail("loads %d words but kernel has %d", in.Words, words[g])
 				}
-				want = kernelWords[in.Kernel]
+				want = words[g]
 			}
 			if want <= p.Arch.CMWords {
-				if _, err := cm.Load(in.Kernel, want); err != nil {
+				if _, err := cm.Load(g, want); err != nil {
 					return nil, fail("context memory: %v", err)
 				}
 			}
@@ -112,7 +130,6 @@ func Check(p *Program, sched *core.Schedule) (*CheckReport, error) {
 			}
 			rep.StoreBytes += in.Bytes
 		case OpExec:
-			group := in.Kernel
 			ki := -1
 			if sched != nil {
 				if lastKernel >= 0 && a.Kernels[lastKernel].Name == in.Kernel {
@@ -121,11 +138,14 @@ func Check(p *Program, sched *core.Schedule) (*CheckReport, error) {
 					ki, lastKernel = k, k
 				}
 			}
-			if ki >= 0 {
-				group = a.Kernels[ki].CtxGroup()
-			}
-			if sched != nil && !cm.Resident(group) && kernelWords[group] <= p.Arch.CMWords {
-				return nil, fail("kernel %s has no contexts resident", in.Kernel)
+			if sched != nil {
+				group := in.Kernel
+				if ki >= 0 {
+					group = a.Kernels[ki].CtxGroup()
+				}
+				if g := intern(group); !cm.Resident(g) && words[g] <= p.Arch.CMWords {
+					return nil, fail("kernel %s has no contexts resident", in.Kernel)
+				}
 			}
 			if ki >= 0 && in.Iter >= 0 && in.Iter < inst.Iters {
 				for _, id := range a.KernelOutputIDs(ki) {

@@ -150,7 +150,7 @@ func GenerateFrom(s *core.Schedule, rep *core.AllocationReport) (*Program, error
 		k := int(ev.Inst)
 		if k < 0 || k >= n || ev.Set < 0 || ev.Set >= nSets {
 			return 0, fmt.Errorf("codegen: event %d: %s of %q on set %d is not an instance of the schedule",
-				i, ev.Op, ev.Object, ev.Set)
+				i, ev.Op, rep.Object(*ev), ev.Set)
 		}
 		return ev.Set*n + k, nil
 	}
@@ -186,7 +186,7 @@ func GenerateFrom(s *core.Schedule, rep *core.AllocationReport) (*Program, error
 		emitStore := func(key, iter int, placed *core.AllocEvent) {
 			in := base
 			in.Op = OpStFB
-			in.Object = placed.Object
+			in.Object = rep.Object(*placed)
 			in.Datum = a.DatumName(inst.Datum(key))
 			in.Set = placed.Set
 			in.Addr = placed.Addr
@@ -203,7 +203,7 @@ func GenerateFrom(s *core.Schedule, rep *core.AllocationReport) (*Program, error
 		for ; inVisit < end && rep.Events[inVisit].Iter == -1; inVisit++ {
 			ev := &rep.Events[inVisit]
 			if ev.Op != core.OpAlloc {
-				return nil, fmt.Errorf("codegen: unexpected pre-visit %s of %s", ev.Op, ev.Object)
+				return nil, fmt.Errorf("codegen: unexpected pre-visit %s of %s", ev.Op, rep.Object(*ev))
 			}
 			slot, err := slotOf(inVisit)
 			if err != nil {
@@ -236,7 +236,7 @@ func GenerateFrom(s *core.Schedule, rep *core.AllocationReport) (*Program, error
 				placed := &rep.Events[pi]
 				in := base
 				in.Op = OpLdFB
-				in.Object = placed.Object
+				in.Object = rep.Object(*placed)
 				in.Datum = m.Datum
 				in.Set = placed.Set
 				in.Addr = placed.Addr
@@ -293,7 +293,7 @@ func GenerateFrom(s *core.Schedule, rep *core.AllocationReport) (*Program, error
 					// A just-in-time tile load.
 					in := base
 					in.Op = OpLdFB
-					in.Object = ev.Object
+					in.Object = rep.Object(*ev)
 					in.Datum = a.DatumName(id)
 					in.Set = ev.Set
 					in.Addr = ev.Addr
@@ -304,7 +304,7 @@ func GenerateFrom(s *core.Schedule, rep *core.AllocationReport) (*Program, error
 			case core.OpRelease:
 				pi := live[slot]
 				if pi < 0 {
-					return nil, fmt.Errorf("codegen: release of untracked %s (set %d)", ev.Object, ev.Set)
+					return nil, fmt.Errorf("codegen: release of untracked %s (set %d)", rep.Object(*ev), ev.Set)
 				}
 				if pending[key] == stamp {
 					emitStore(key, ev.Iter, &rep.Events[pi])
@@ -333,7 +333,7 @@ func GenerateFrom(s *core.Schedule, rep *core.AllocationReport) (*Program, error
 			return nil, absentStore(s, v, inst, live[v.Set*n:(v.Set+1)*n], resident)
 		}
 		slices.SortFunc(resident, func(x, y int) int {
-			return strings.Compare(rep.Events[live[v.Set*n+x]].Object, rep.Events[live[v.Set*n+y]].Object)
+			return strings.Compare(rep.Object(rep.Events[live[v.Set*n+x]]), rep.Object(rep.Events[live[v.Set*n+y]]))
 		})
 		for _, k := range resident {
 			emitStore(k, -1, &rep.Events[live[v.Set*n+k]])

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
+	"sync"
 
 	"cds/internal/alloc"
 	"cds/internal/extract"
@@ -26,22 +28,19 @@ func (o AllocOp) String() string {
 }
 
 // AllocEvent is one step of the Frame Buffer allocation replay. The
-// sequence of events reproduces the paper's Figure 5 timelines.
+// sequence of events reproduces the paper's Figure 5 timelines. An event
+// holds no pointers: the report names its instance (Object, DatumName).
 type AllocEvent struct {
 	Op  AllocOp
 	Set int
-	// Object is the placed instance name ("<datum>#i<iter>");
-	// Datum is the underlying application datum.
-	Object string
-	Datum  string
 	// Addr is the first extent's address; Bytes the full size; Split
 	// whether the instance had to be split across free blocks.
 	Addr, Bytes int
 	Split       bool
 	// Inst is the instance's key (InstancesOf); consumers key their
-	// per-instance state by it, never by Object. An int32 beside Split
-	// keeps the event as small as it was without the key.
-	Inst int32 `json:"-"`
+	// per-instance state by it. An int32 beside Split packs it into
+	// Split's word.
+	Inst int32
 	// Cluster, Block, Iter locate the event in the schedule. Iter is -1
 	// for the pre-visit input loading phase.
 	Cluster, Block, Iter int
@@ -65,6 +64,102 @@ type AllocationReport struct {
 	Regular bool
 	// IrregularObjects lists the instances that moved between blocks.
 	IrregularObjects []string
+
+	// inst keys the events' instances; names is their name table,
+	// built on first request and shared by copies of the report. A
+	// report without names (not built by Allocate or
+	// NewAllocationReport) names no instance.
+	inst  Instances
+	names *instanceNames
+}
+
+// instanceNames is a report's table of instance names, indexed by
+// instance key. It is built once, on first request, so a cached report
+// read by concurrent requests names its events without a race.
+type instanceNames struct {
+	once sync.Once
+	tab  []string
+}
+
+// newReport returns an empty report of the schedule's instances.
+func newReport(s *Schedule) *AllocationReport {
+	return &AllocationReport{PeakUsed: map[int]int{}, Regular: true,
+		inst: InstancesOf(s), names: &instanceNames{}}
+}
+
+// NewAllocationReport returns a report of the given events of schedule s,
+// each keyed by its Inst. It is for replays built outside Allocate, such
+// as tests' hand-made ones.
+func NewAllocationReport(s *Schedule, events []AllocEvent) *AllocationReport {
+	rep := newReport(s)
+	rep.Events = events
+	return rep
+}
+
+// named reports whether k is an instance key of the report's schedule.
+func (r *AllocationReport) named(k int) bool {
+	return r.names != nil && k >= 0 && k < r.inst.Len()
+}
+
+// Object returns the name of ev's instance, "<datum>#i<iter>".
+func (r *AllocationReport) Object(ev AllocEvent) string {
+	k := int(ev.Inst)
+	if !r.named(k) {
+		return fmt.Sprintf("instance %d", k)
+	}
+	r.names.once.Do(func() {
+		r.names.tab = make([]string, r.inst.Len())
+		for k := range r.names.tab {
+			r.names.tab[k] = r.inst.Name(k)
+		}
+	})
+	return r.names.tab[k]
+}
+
+// DatumName returns the name of ev's application datum.
+func (r *AllocationReport) DatumName(ev AllocEvent) string {
+	k := int(ev.Inst)
+	if !r.named(k) {
+		return ""
+	}
+	return r.inst.a.DatumName(r.inst.Datum(k))
+}
+
+// eventJSON is an event's JSON form: the event with its instance and
+// datum names, Datum empty on releases.
+type eventJSON struct {
+	Op                   AllocOp
+	Set                  int
+	Object               string
+	Datum                string
+	Addr, Bytes          int
+	Split                bool
+	Cluster, Block, Iter int
+	Kernel               int
+}
+
+// MarshalJSON encodes the report with each event's Object and Datum
+// names.
+func (r *AllocationReport) MarshalJSON() ([]byte, error) {
+	events := make([]eventJSON, len(r.Events))
+	for i, ev := range r.Events {
+		e := eventJSON{Op: ev.Op, Set: ev.Set, Object: r.Object(ev), Addr: ev.Addr, Bytes: ev.Bytes,
+			Split: ev.Split, Cluster: ev.Cluster, Block: ev.Block, Iter: ev.Iter, Kernel: ev.Kernel}
+		if ev.Op == OpAlloc {
+			e.Datum = r.DatumName(ev)
+		}
+		events[i] = e
+	}
+	if r.Events == nil {
+		events = nil
+	}
+	return json.Marshal(struct {
+		Events           []eventJSON
+		PeakUsed         map[int]int
+		Splits           int
+		Regular          bool
+		IrregularObjects []string
+	}{events, r.PeakUsed, r.Splits, r.Regular, r.IrregularObjects})
 }
 
 // AllocOptions tunes the allocation replay; the zero value is the paper's
@@ -93,18 +188,25 @@ func Allocate(s *Schedule, allowSplit bool) (*AllocationReport, error) {
 
 // AllocateWithOptions is Allocate with an explicit allocator policy.
 func AllocateWithOptions(s *Schedule, opts AllocOptions) (*AllocationReport, error) {
-	rep := &AllocationReport{PeakUsed: map[int]int{}, Regular: true}
 	a := s.P.App
 	if !a.Finalized() {
 		// The replay walks interned datum IDs.
-		return rep, fmt.Errorf("core: allocation replay of app %q: not finalized (build it with app.Builder or call Finalize)", a.Name)
+		return &AllocationReport{PeakUsed: map[int]int{}, Regular: true},
+			fmt.Errorf("core: allocation replay of app %q: not finalized (build it with app.Builder or call Finalize)", a.Name)
 	}
+	rep := newReport(s)
+	in := rep.inst
+	n := in.Len()
 
-	// One allocator per FB set.
-	fbs := map[int]*alloc.FB{}
+	// One allocator per FB set, keyed by instance.
+	nSets := 0
 	for _, c := range s.P.Clusters {
-		if _, ok := fbs[c.Set]; !ok {
-			fb := alloc.New(s.Arch.FBSetBytes, opts.AllowSplit)
+		nSets = max(nSets, c.Set+1)
+	}
+	fbs := make([]*alloc.FB, nSets)
+	for _, c := range s.P.Clusters {
+		if fbs[c.Set] == nil {
+			fb := alloc.New(s.Arch.FBSetBytes, opts.AllowSplit, n, in.Name)
 			fb.SetFitPolicy(opts.FitPolicy)
 			fbs[c.Set] = fb
 		}
@@ -127,39 +229,34 @@ func AllocateWithOptions(s *Schedule, opts AllocOptions) (*AllocationReport, err
 		// below), so twice the placement bound bounds the events.
 		rep.Events = make([]AllocEvent, 0, 2*nAllocs)
 	}
-	names := instanceNames{Instances: InstancesOf(s)}
-	names.tab = make([]string, names.Len())
 
-	// prefer remembers each instance's address from the previous block,
-	// keyed by cluster (which fixes the set) and instance key: two
-	// clusters on one set may each load their own copy of the same
-	// datum, at different addresses. irregular collects the instance
-	// keys that moved.
-	prefer := map[int]int{}
+	// prefer[cluster*n+key] remembers each instance's address from the
+	// previous block, or -1: keyed by cluster (which fixes the set) and
+	// instance, since two clusters on one set may each load their own
+	// copy of the same datum, at different addresses. irregular
+	// collects the instance keys that moved.
+	prefer := make([]int32, len(s.Info.Clusters)*n)
+	for i := range prefer {
+		prefer[i] = -1
+	}
 	irregular := map[int]bool{}
 
 	place := func(fb *alloc.FB, set int, id int32, iter int, dir alloc.Dir, ev AllocEvent) error {
-		k := names.Key(id, iter)
-		inst := names.name(k)
-		pk := ev.Cluster*len(names.tab) + k
-		want, hadPref := prefer[pk]
-		if !hadPref {
-			want = -1
-		}
-		p, err := fb.Alloc(inst, a.SizeByID(id), dir, want)
+		k := in.Key(id, iter)
+		pk := ev.Cluster*n + k
+		want := int(prefer[pk])
+		p, err := fb.Alloc(k, a.SizeByID(id), dir, want)
 		if err != nil {
 			return fmt.Errorf("core: allocation replay failed for %s (cluster %d block %d): %w",
-				inst, ev.Cluster, ev.Block, err)
+				in.Name(k), ev.Cluster, ev.Block, err)
 		}
-		if hadPref && p.Addr() != want {
+		if want >= 0 && p.Addr() != want {
 			irregular[k] = true
 		}
-		prefer[pk] = p.Addr()
+		prefer[pk] = int32(p.Addr())
 		ev.Op = OpAlloc
 		ev.Set = set
-		ev.Object = inst
 		ev.Inst = int32(k)
-		ev.Datum = a.DatumName(id)
 		ev.Addr = p.Addr()
 		ev.Bytes = p.Bytes()
 		ev.Split = p.Split()
@@ -167,19 +264,17 @@ func AllocateWithOptions(s *Schedule, opts AllocOptions) (*AllocationReport, err
 		return nil
 	}
 	free := func(fb *alloc.FB, set int, id int32, iter int, ev AllocEvent) error {
-		k := names.Key(id, iter)
-		inst := names.name(k)
-		p, ok := fb.Lookup(inst)
+		k := in.Key(id, iter)
+		p, ok := fb.Lookup(k)
 		if !ok {
 			return fmt.Errorf("core: allocation replay: release of absent %s (cluster %d block %d)",
-				inst, ev.Cluster, ev.Block)
+				in.Name(k), ev.Cluster, ev.Block)
 		}
-		if err := fb.Release(inst); err != nil {
+		if err := fb.Release(k); err != nil {
 			return err
 		}
 		ev.Op = OpRelease
 		ev.Set = set
-		ev.Object = inst
 		ev.Inst = int32(k)
 		ev.Addr = p.Addr()
 		ev.Bytes = p.Bytes()
@@ -220,7 +315,7 @@ func AllocateWithOptions(s *Schedule, opts AllocOptions) (*AllocationReport, err
 				// Streamed inputs arrive just before their first
 				// consuming kernel of this iteration.
 				for _, id := range kr.streamed {
-					if _, already := fb.Lookup(names.name(names.Key(id, iter))); already {
+					if _, already := fb.Lookup(in.Key(id, iter)); already {
 						continue
 					}
 					if err := place(fb, c.Set, id, iter, alloc.FromTop, ev); err != nil {
@@ -268,6 +363,9 @@ func AllocateWithOptions(s *Schedule, opts AllocOptions) (*AllocationReport, err
 
 	// Every FB set must be empty at the end: all lifetimes matched.
 	for set, fb := range fbs {
+		if fb == nil {
+			continue
+		}
 		if fb.Used() != 0 {
 			return rep, fmt.Errorf("core: %d bytes leaked in FB set %d: %v", fb.Used(), set, fb.Live())
 		}
@@ -275,7 +373,7 @@ func AllocateWithOptions(s *Schedule, opts AllocOptions) (*AllocationReport, err
 		rep.Splits += fb.Splits()
 	}
 	for k := range irregular {
-		rep.IrregularObjects = append(rep.IrregularObjects, names.name(k))
+		rep.IrregularObjects = append(rep.IrregularObjects, in.Name(k))
 	}
 	sort.Strings(rep.IrregularObjects)
 	rep.Regular = len(rep.IrregularObjects) == 0

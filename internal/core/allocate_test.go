@@ -114,7 +114,7 @@ func TestAllocateSharedOnTopResultsOnBottom(t *testing.T) {
 		if ev.Op != OpAlloc || ev.Set != 0 {
 			continue
 		}
-		switch ev.Datum {
+		switch rep.DatumName(ev) {
 		case "inA":
 			inAAddr = ev.Addr
 		case "out2":
@@ -165,16 +165,16 @@ func TestAllocateRegularAcrossBlocks(t *testing.T) {
 	// must land on the same address in every block.
 	type key struct {
 		set, cluster int
-		object       string
+		inst         int32
 	}
 	addrs := map[key]int{}
 	for _, ev := range rep.Events {
 		if ev.Op != OpAlloc {
 			continue
 		}
-		k := key{ev.Set, ev.Cluster, ev.Object}
+		k := key{ev.Set, ev.Cluster, ev.Inst}
 		if prev, seen := addrs[k]; seen && prev != ev.Addr {
-			t.Errorf("%s (cluster %d) moved from %d to %d between blocks", ev.Object, ev.Cluster, prev, ev.Addr)
+			t.Errorf("%s (cluster %d) moved from %d to %d between blocks", rep.Object(ev), ev.Cluster, prev, ev.Addr)
 		}
 		addrs[k] = ev.Addr
 	}

@@ -40,6 +40,12 @@ func (in Instances) Datum(k int) int32 { return int32(k / in.Iters) }
 // Iter returns the iteration of key k.
 func (in Instances) Iter(k int) int { return k % in.Iters }
 
+// Name returns the name of key k's instance, "<datum>#i<iter>", the form
+// ParseInstance reads.
+func (in Instances) Name(k int) string {
+	return in.a.DatumName(in.Datum(k)) + "#i" + strconv.Itoa(in.Iter(k))
+}
+
 // ParseInstance splits an instance name built by the replay,
 // "<datum>#i<iter>", into its datum and iteration. ok is false unless the
 // iteration is a non-negative decimal written the way strconv.Itoa
@@ -64,19 +70,4 @@ func ParseInstance(name string) (datum string, iter int, ok bool) {
 		return "", 0, false
 	}
 	return name[:i], n, true
-}
-
-// instanceNames builds each "<datum>#i<iter>" instance name once per
-// replay; every event, Lookup and Release of the instance shares it.
-// The instance key indexes the table.
-type instanceNames struct {
-	Instances
-	tab []string
-}
-
-func (n *instanceNames) name(k int) string {
-	if n.tab[k] == "" {
-		n.tab[k] = n.a.DatumName(n.Datum(k)) + "#i" + strconv.Itoa(n.Iter(k))
-	}
-	return n.tab[k]
 }

@@ -118,7 +118,7 @@ func (r *Replay) Walk(h ReplayHooks) error {
 			slot := r.Slot(ev)
 			if slot < 0 || r.Inst.Iter(int(ev.Inst)) >= v.Iters {
 				return fmt.Errorf("visit %d: event %d (%s of %q on set %d) names no instance of the visit's %d iterations",
-					vi, first+i, ev.Op, ev.Object, ev.Set, v.Iters)
+					vi, first+i, ev.Op, r.rep.Object(*ev), ev.Set, v.Iters)
 			}
 			load := false
 			if ev.Op == OpAlloc {
@@ -172,7 +172,7 @@ func (r *Replay) Walk(h ReplayHooks) error {
 		for ; next < len(run); next++ {
 			if ev := &run[next]; ev.Kernel >= 0 {
 				return fmt.Errorf("visit %d: event %d (%s of %q, kernel %d iteration %d) is out of execution order",
-					vi, first+next, ev.Op, ev.Object, ev.Kernel, ev.Iter)
+					vi, first+next, ev.Op, r.rep.Object(*ev), ev.Kernel, ev.Iter)
 			}
 		}
 
@@ -191,7 +191,7 @@ func (r *Replay) Walk(h ReplayHooks) error {
 	if end < len(events) {
 		ev := &events[end]
 		return fmt.Errorf("event %d (%s of %q, cluster %d block %d) belongs to no visit in execution order",
-			end, ev.Op, ev.Object, ev.Cluster, ev.Block)
+			end, ev.Op, r.rep.Object(*ev), ev.Cluster, ev.Block)
 	}
 	return nil
 }

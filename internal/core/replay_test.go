@@ -39,10 +39,10 @@ func crossSetReplay(t *testing.T) (*Schedule, *AllocationReport) {
 	}
 	in := InstancesOf(s)
 	ev := func(op AllocOp, set int, datum string, cluster, kernel, iter int) AllocEvent {
-		return AllocEvent{Op: op, Set: set, Object: datum + "#i0", Datum: datum, Bytes: 8,
+		return AllocEvent{Op: op, Set: set, Bytes: 8,
 			Inst: int32(in.Key(int32(a.DatumID(datum)), 0)), Cluster: cluster, Kernel: kernel, Iter: iter}
 	}
-	rep := &AllocationReport{Events: []AllocEvent{
+	rep := NewAllocationReport(s, []AllocEvent{
 		ev(OpRelease, 2, "a", 0, -1, 0),
 		ev(OpAlloc, 2, "x", 0, -1, -1),
 		ev(OpAlloc, 2, "a", 0, 0, 0),
@@ -51,7 +51,7 @@ func crossSetReplay(t *testing.T) (*Schedule, *AllocationReport) {
 		ev(OpRelease, 1, "w", 1, 1, 0),
 		ev(OpAlloc, 1, "b", 1, 1, 0),
 		ev(OpAlloc, 0, "c", 2, 2, 0),
-	}}
+	})
 	return s, rep
 }
 
@@ -69,7 +69,7 @@ func TestWalkReplay(t *testing.T) {
 	var log []string
 	hooks := ReplayHooks{
 		Event: func(vi, slot int, ev *AllocEvent, load bool) error {
-			line := fmt.Sprintf("v%d %s %s set%d", vi, ev.Op, ev.Object, ev.Set)
+			line := fmt.Sprintf("v%d %s %s set%d", vi, ev.Op, rep.Object(*ev), ev.Set)
 			if load {
 				line += " load"
 			}

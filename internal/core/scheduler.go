@@ -394,7 +394,8 @@ func carve(moves []Movement, mark int) ([]Movement, int) {
 func buildVisits(s *Schedule, pa arch.Params, info *extract.Info, rf int, retained []Retained, perKernelLoads bool) error {
 	a := info.P.App
 	rl := buildRetainedLookups(retained, info)
-	cm := arch.NewContextMemory(pa.CMWords)
+	groupOf, groups := a.CtxGroups()
+	cm := arch.NewContextMemory(pa.CMWords, len(groups), func(g int) string { return groups[g] })
 
 	// Every visit's Loads, Stores and CtxLoads are carved from one
 	// backing array, sized by the per-block bound: a cluster loads at
@@ -480,8 +481,8 @@ func buildVisits(s *Schedule, pa arch.Params, info *extract.Info, rf int, retain
 				cm.Reset()
 			}
 			for _, ki := range c.Kernels {
-				k := a.Kernels[ki]
-				moved, err := cm.Load(k.CtxGroup(), k.ContextWords)
+				k := &a.Kernels[ki]
+				moved, err := cm.Load(int(groupOf[ki]), k.ContextWords)
 				if err != nil {
 					if !errors.Is(err, arch.ErrDoesNotFit) {
 						// Anything but the expected

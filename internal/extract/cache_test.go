@@ -1,7 +1,9 @@
 package extract
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cds/internal/app"
@@ -71,12 +73,18 @@ func TestAnalyzeCachedSingleflight(t *testing.T) {
 	}
 }
 
+// contentKeyRuns numbers TestAnalyzeCachedContentKey's invocations.
+var contentKeyRuns atomic.Int64
+
 // TestAnalyzeCachedContentKey: the cache keys on the content
 // fingerprint, so two structurally identical partitions — distinct
 // pointers, same spec — share ONE entry and one Info.
 func TestAnalyzeCachedContentKey(t *testing.T) {
-	p := cachePart(t, "content-key")
-	q := cachePart(t, "content-key")
+	// A name no earlier invocation used (go test -count=N reruns
+	// in-process), so the first lookup is a real miss.
+	name := fmt.Sprintf("content-key-%d", contentKeyRuns.Add(1))
+	p := cachePart(t, name)
+	q := cachePart(t, name)
 	if p == q {
 		t.Fatal("want distinct partition pointers")
 	}

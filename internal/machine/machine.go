@@ -215,7 +215,7 @@ func RunWithHooks(s *core.Schedule, seed int64, sem Semantics, hooks *Hooks) (*R
 				ext[int(id)*extIters+abs] = data
 			}
 			if len(data) != ev.Bytes {
-				return fmt.Errorf("%s: external size %d != placement %d", ev.Object, len(data), ev.Bytes)
+				return fmt.Errorf("%s: external size %d != placement %d", rep.Object(*ev), len(data), ev.Bytes)
 			}
 			copy(bytesOf(slot), data)
 			res.LoadedBytes += ev.Bytes

@@ -15,7 +15,7 @@ import (
 // time, and each cell shows the object resident there (first letter of
 // the datum, '.' when free). Shared data sit in the top band, results
 // grow from the bottom — the two-sided discipline is visible at a glance.
-func Occupancy(w io.Writer, events []core.AllocEvent, set, fbBytes, cols int) {
+func Occupancy(w io.Writer, rep *core.AllocationReport, set, fbBytes, cols int) {
 	if cols <= 0 {
 		cols = 64
 	}
@@ -32,13 +32,13 @@ func Occupancy(w io.Writer, events []core.AllocEvent, set, fbBytes, cols int) {
 	}
 	var live []interval
 	var snapshots [][]interval
-	for _, ev := range events {
+	for _, ev := range rep.Events {
 		if ev.Set != set {
 			continue
 		}
 		switch ev.Op {
 		case core.OpAlloc:
-			live = append(live, interval{inst: ev.Inst, addr: ev.Addr, size: ev.Bytes, datum: ev.Datum})
+			live = append(live, interval{inst: ev.Inst, addr: ev.Addr, size: ev.Bytes, datum: rep.DatumName(ev)})
 		case core.OpRelease:
 			live = slices.DeleteFunc(live, func(iv interval) bool { return iv.inst == ev.Inst })
 		}
@@ -90,16 +90,21 @@ func glyph(datum string) byte {
 	return '#'
 }
 
-// Legend lists the data appearing in the events with their glyphs.
-func Legend(w io.Writer, events []core.AllocEvent, set int) {
+// Legend lists the data appearing in the report's events on the set with
+// their glyphs.
+func Legend(w io.Writer, rep *core.AllocationReport, set int) {
 	seen := map[string]bool{}
 	fmt.Fprint(w, "legend:")
-	for _, ev := range events {
-		if ev.Set != set || ev.Op != core.OpAlloc || seen[ev.Datum] {
+	for _, ev := range rep.Events {
+		if ev.Set != set || ev.Op != core.OpAlloc {
 			continue
 		}
-		seen[ev.Datum] = true
-		fmt.Fprintf(w, " %c=%s", glyph(ev.Datum), ev.Datum)
+		datum := rep.DatumName(ev)
+		if seen[datum] {
+			continue
+		}
+		seen[datum] = true
+		fmt.Fprintf(w, " %c=%s", glyph(datum), datum)
 	}
 	fmt.Fprintln(w)
 }

@@ -4,8 +4,23 @@ import (
 	"strings"
 	"testing"
 
+	"cds/internal/app"
 	"cds/internal/core"
 )
+
+// oneIterReport returns a report of events over a one-iteration
+// schedule of an app declaring data in the given order, so that key i
+// names data[i]'s instance.
+func oneIterReport(t *testing.T, data []string, events []core.AllocEvent) *core.AllocationReport {
+	t.Helper()
+	b := app.NewBuilder("occupancy", 1)
+	for _, d := range data {
+		b.Datum(d, 8)
+	}
+	b.Kernel("k", 16, 10).In(data[0]).Out(data[1:]...)
+	s := &core.Schedule{P: app.MustPartition(b.MustBuild(), 1, 1), RF: 1, Visits: []core.Visit{{Iters: 1}}}
+	return core.NewAllocationReport(s, events)
+}
 
 func sampleRows() []Row {
 	return []Row{
@@ -94,14 +109,14 @@ func TestFormatSize(t *testing.T) {
 }
 
 func TestOccupancyRendering(t *testing.T) {
-	events := []core.AllocEvent{
-		{Op: core.OpAlloc, Set: 0, Object: "d#i0", Datum: "d", Inst: 0, Addr: 900, Bytes: 100},
-		{Op: core.OpAlloc, Set: 0, Object: "r#i0", Datum: "r", Inst: 1, Addr: 0, Bytes: 64},
-		{Op: core.OpRelease, Set: 0, Object: "d#i0", Datum: "d", Inst: 0, Addr: 900, Bytes: 100},
-		{Op: core.OpAlloc, Set: 1, Object: "x#i0", Datum: "x", Inst: 2, Addr: 0, Bytes: 10},
-	}
+	rep := oneIterReport(t, []string{"d", "r", "x"}, []core.AllocEvent{
+		{Op: core.OpAlloc, Set: 0, Inst: 0, Addr: 900, Bytes: 100},
+		{Op: core.OpAlloc, Set: 0, Inst: 1, Addr: 0, Bytes: 64},
+		{Op: core.OpRelease, Set: 0, Inst: 0, Addr: 900, Bytes: 100},
+		{Op: core.OpAlloc, Set: 1, Inst: 2, Addr: 0, Bytes: 10},
+	})
 	var b strings.Builder
-	Occupancy(&b, events, 0, 1024, 8)
+	Occupancy(&b, rep, 0, 1024, 8)
 	out := b.String()
 	if !strings.Contains(out, "FB set 0") {
 		t.Errorf("missing header:\n%s", out)
@@ -121,23 +136,23 @@ func TestOccupancyRendering(t *testing.T) {
 	}
 
 	var lg strings.Builder
-	Legend(&lg, events, 0)
+	Legend(&lg, rep, 0)
 	if !strings.Contains(lg.String(), "d=d") || !strings.Contains(lg.String(), "r=r") {
 		t.Errorf("legend wrong: %s", lg.String())
 	}
 
 	var empty strings.Builder
-	Occupancy(&empty, nil, 3, 1024, 8)
+	Occupancy(&empty, &core.AllocationReport{}, 3, 1024, 8)
 	if !strings.Contains(empty.String(), "no events") {
 		t.Error("empty set not reported")
 	}
 
 	// Two placements share the lowest row: it shows the one placed
 	// first, every time.
-	shared := []core.AllocEvent{
-		{Op: core.OpAlloc, Set: 0, Object: "p#i0", Datum: "p", Inst: 0, Addr: 0, Bytes: 8},
-		{Op: core.OpAlloc, Set: 0, Object: "q#i0", Datum: "q", Inst: 1, Addr: 8, Bytes: 8},
-	}
+	shared := oneIterReport(t, []string{"p", "q"}, []core.AllocEvent{
+		{Op: core.OpAlloc, Set: 0, Inst: 0, Addr: 0, Bytes: 8},
+		{Op: core.OpAlloc, Set: 0, Inst: 1, Addr: 8, Bytes: 8},
+	})
 	for i := 0; i < 20; i++ {
 		var sb strings.Builder
 		Occupancy(&sb, shared, 0, 1024, 8)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -132,7 +133,7 @@ func TestCompareUsesPeerFillOnLocalMiss(t *testing.T) {
 	}
 	s := New(Config{WorkerID: "w-self", PeerFill: peer})
 	// An FB override no other test uses guarantees a local miss.
-	rec, resp := postCompare(t, s, `{"workload":"E1","fb_bytes":999424}`)
+	rec, resp := postCompare(t, s, fmt.Sprintf(`{"workload":"E1","fb_bytes":%d}`, freshFB(999424)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("compare = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -159,7 +160,7 @@ func TestCompareUsesPeerFillOnLocalMiss(t *testing.T) {
 		misses++
 		return nil, false
 	}})
-	rec, resp = postCompare(t, s2, `{"workload":"E1","fb_bytes":998912}`)
+	rec, resp = postCompare(t, s2, fmt.Sprintf(`{"workload":"E1","fb_bytes":%d}`, freshFB(998912)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("compare after peer miss = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -191,7 +192,8 @@ func TestCompareCountsEachRequestOnce(t *testing.T) {
 		}
 	}
 	// FB overrides no other test uses guarantee local misses.
-	const computed, filled = `{"workload":"E1","fb_bytes":997888}`, `{"workload":"E1","fb_bytes":997376}`
+	computed := fmt.Sprintf(`{"workload":"E1","fb_bytes":%d}`, freshFB(997888))
+	filled := fmt.Sprintf(`{"workload":"E1","fb_bytes":%d}`, freshFB(997376))
 
 	s := New(Config{WorkerID: "w-self"})
 	before := counters()

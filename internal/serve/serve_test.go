@@ -632,13 +632,22 @@ func TestSweepJournalValidation(t *testing.T) {
 	}
 }
 
+// freshRuns numbers the invocations of tests that need a comparison
+// cache miss.
+var freshRuns atomic.Int64
+
+// freshFB returns an odd FB size above the even base, unique to this
+// call: no earlier invocation in this process (go test -count=N) and no
+// other test (their FB overrides are multiples of 64) uses it, so the
+// first compare that names it is a genuine miss.
+func freshFB(base int) int { return base + 2*int(freshRuns.Add(1)) - 1 }
+
 // TestCompareCacheFastPath: a re-posed spec is answered from the result
 // cache — marked in the body and the Server-Timing header — and the
 // answer matches the computed one.
 func TestCompareCacheFastPath(t *testing.T) {
 	s := New(Config{})
-	// An FB size no other test uses, so the first request is a genuine miss.
-	body := `{"workload":"MPEG","fb_bytes":2944}`
+	body := fmt.Sprintf(`{"workload":"MPEG","fb_bytes":%d}`, freshFB(2944))
 	w1 := post(t, s.Handler(), "/v1/compare", body)
 	if w1.Code != http.StatusOK {
 		t.Fatalf("fill = %d: %s", w1.Code, w1.Body.String())

@@ -25,9 +25,9 @@ func TestInstanceSlotStrict(t *testing.T) {
 	in := core.InstancesOf(s)
 	tile := int32(s.P.App.DatumID("tile"))
 	check := func(set, key int) error {
-		rep := &core.AllocationReport{Events: []core.AllocEvent{
-			{Op: core.OpAlloc, Set: set, Object: "tile", Datum: "tile", Bytes: 8, Inst: int32(key), Iter: -1, Kernel: -1},
-		}}
+		rep := core.NewAllocationReport(s, []core.AllocEvent{
+			{Op: core.OpAlloc, Set: set, Bytes: 8, Inst: int32(key), Iter: -1, Kernel: -1},
+		})
 		return checkLiveness(s, rep)
 	}
 	for _, key := range []int{in.Key(tile, 2), in.Key(tile, 3), -1, in.Len()} {

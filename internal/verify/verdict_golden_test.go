@@ -113,7 +113,7 @@ var reportMutations = []struct {
 		ai := -1
 		for i := ri - 1; i >= 0; i-- {
 			ev := rep.Events[i]
-			if ev.Op == core.OpAlloc && ev.Set == rel.Set && ev.Object == rel.Object {
+			if ev.Op == core.OpAlloc && ev.Set == rel.Set && ev.Inst == rel.Inst {
 				ai = i
 				break
 			}

@@ -140,19 +140,19 @@ func checkCapacity(s *core.Schedule, rep *core.AllocationReport) error {
 		ev := &rep.Events[i]
 		slot := r.Slot(ev)
 		if slot < 0 {
-			return violated("capacity", "event %d: %s of %q on set %d names no instance of the schedule", i, ev.Op, ev.Object, ev.Set)
+			return violated("capacity", "event %d: %s of %q on set %d names no instance of the schedule", i, ev.Op, rep.Object(*ev), ev.Set)
 		}
 		switch ev.Op {
 		case core.OpAlloc:
 			if live[slot] >= 0 {
-				return violated("capacity", "event %d: %q allocated twice on set %d", i, ev.Object, ev.Set)
+				return violated("capacity", "event %d: %q allocated twice on set %d", i, rep.Object(*ev), ev.Set)
 			}
 			if ev.Bytes <= 0 {
-				return violated("capacity", "event %d: %q has non-positive size %d", i, ev.Object, ev.Bytes)
+				return violated("capacity", "event %d: %q has non-positive size %d", i, rep.Object(*ev), ev.Bytes)
 			}
 			if !ev.Split && (ev.Addr < 0 || ev.Addr+ev.Bytes > cap) {
 				return violated("capacity", "event %d: %q at [%d,%d) outside set of %d bytes",
-					i, ev.Object, ev.Addr, ev.Addr+ev.Bytes, cap)
+					i, rep.Object(*ev), ev.Addr, ev.Addr+ev.Bytes, cap)
 			}
 			if rep.Splits == 0 {
 				list := byAddr[ev.Set]
@@ -163,7 +163,7 @@ func checkCapacity(s *core.Schedule, rep *core.AllocationReport) error {
 					}
 					if oe := &rep.Events[list[j]]; ev.Addr < oe.Addr+oe.Bytes && oe.Addr < ev.Addr+ev.Bytes {
 						return violated("capacity", "event %d: %q [%d,%d) overlaps live %q [%d,%d) on set %d",
-							i, ev.Object, ev.Addr, ev.Addr+ev.Bytes, oe.Object, oe.Addr, oe.Addr+oe.Bytes, ev.Set)
+							i, rep.Object(*ev), ev.Addr, ev.Addr+ev.Bytes, rep.Object(*oe), oe.Addr, oe.Addr+oe.Bytes, ev.Set)
 					}
 				}
 				byAddr[ev.Set] = slices.Insert(list, pos, int32(i))
@@ -177,7 +177,7 @@ func checkCapacity(s *core.Schedule, rep *core.AllocationReport) error {
 		case core.OpRelease:
 			li := live[slot]
 			if li < 0 {
-				return violated("capacity", "event %d: release of %q which is not live on set %d", i, ev.Object, ev.Set)
+				return violated("capacity", "event %d: release of %q which is not live on set %d", i, rep.Object(*ev), ev.Set)
 			}
 			live[slot] = -1
 			used[ev.Set] -= rep.Events[li].Bytes
