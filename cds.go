@@ -124,8 +124,9 @@ type Result struct {
 	Schedule *Schedule
 	// Timing is the simulated execution.
 	Timing *Timing
-	// Allocation is the Frame Buffer replay (addresses, peaks, splits,
-	// regularity).
+	// Allocation is the summary of the Frame Buffer replay (peaks,
+	// splits, regularity) without its event log; replay the schedule
+	// with core.AllocateWithOptions for the addresses.
 	Allocation *Allocation
 }
 

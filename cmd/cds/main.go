@@ -125,9 +125,17 @@ func run(ctx context.Context, opts options) error {
 		fmt.Println("verifier      capacity, liveness, serialization and residency invariants hold")
 	}
 
+	// The result's report is a summary; the Figure 5 views walk the
+	// events of a recorded replay of the same schedule.
+	var rec *core.AllocationReport
+	if opts.trace || opts.occupancy {
+		if rec, err = core.AllocateWithOptions(res.Schedule, core.AllocOptions{AllowSplit: true}); err != nil {
+			return err
+		}
+	}
 	if opts.trace {
 		fmt.Println()
-		printTrace(res.Allocation)
+		printTrace(rec)
 	}
 	if opts.occupancy {
 		sets := map[int]bool{}
@@ -139,8 +147,8 @@ func run(ctx context.Context, opts options) error {
 				continue
 			}
 			fmt.Println()
-			report.Occupancy(os.Stdout, res.Allocation, set, pa.FBSetBytes, 72)
-			report.Legend(os.Stdout, res.Allocation, set)
+			report.Occupancy(os.Stdout, rec, set, pa.FBSetBytes, 72)
+			report.Legend(os.Stdout, rec, set)
 		}
 	}
 	if opts.timeline {

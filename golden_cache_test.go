@@ -132,9 +132,11 @@ func TestCompareAllCtxCanceledNotCached(t *testing.T) {
 // namesRuns numbers TestCachedReportNamesConcurrently's invocations.
 var namesRuns atomic.Int64
 
-// TestCachedReportNamesConcurrently: a cached report builds its instance
-// name table on first request. Concurrent first requests on one cached
-// Comparison must all see the same names, and run clean under -race.
+// TestCachedReportNamesConcurrently: a report builds its instance name
+// table on first request. The cached Comparison keeps only summary
+// reports, so the readers share one recorded replay of the cached CDS
+// schedule; concurrent first requests must all see the same names, and
+// run clean under -race.
 func TestCachedReportNamesConcurrently(t *testing.T) {
 	// A spec no earlier invocation built, so the table starts cold.
 	b := NewApp(fmt.Sprintf("golden-names-%d", namesRuns.Add(1)), 8).
@@ -157,7 +159,13 @@ func TestCachedReportNamesConcurrently(t *testing.T) {
 	if cmp != first {
 		t.Fatal("second CompareAll did not return the cached Comparison")
 	}
-	rep := cmp.CDS.Allocation
+	if cmp.CDS.Allocation.Events != nil {
+		t.Fatalf("cached CDS report holds %d events, want a summary without an event log", len(cmp.CDS.Allocation.Events))
+	}
+	rep, err := core.AllocateWithOptions(cmp.CDS.Schedule, core.AllocOptions{AllowSplit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rep.Events) == 0 {
 		t.Fatal("no allocation events")
 	}

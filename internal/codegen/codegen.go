@@ -7,9 +7,9 @@
 // runs, FB transfers must stay in bounds, and a store may only drain data
 // some kernel actually produced.
 //
-// Spatial non-overlap of placements is guaranteed upstream by
-// core.Allocate (whose allocator invariants are checked per visit); the
-// checker here focuses on the control/transfer rules.
+// Spatial non-overlap of placements is guaranteed upstream by the
+// allocation replay (whose allocator invariants are checked per visit);
+// the checker here focuses on the control/transfer rules.
 package codegen
 
 import (
@@ -111,20 +111,24 @@ func (p *Program) Count(op Op) int {
 // learn every instance's address and lowers the schedule from that
 // replay (GenerateFrom).
 func Generate(s *core.Schedule) (*Program, error) {
-	rep, err := core.Allocate(s, true)
+	rep, err := core.AllocateWithOptions(s, core.AllocOptions{AllowSplit: true})
 	if err != nil {
 		return nil, fmt.Errorf("codegen: %w", err)
 	}
 	return GenerateFrom(s, rep)
 }
 
-// GenerateFrom lowers the schedule using rep, the schedule's allocation
-// replay (core.Allocate with splitting allowed), for every instance's
-// address. It emits per visit: LDCTXT for each kernel whose contexts
-// move, LDFB for each input instance, EXEC per kernel per iteration, and
-// STFB for each result instance the schedule stores (using the address
-// the instance occupied when produced).
+// GenerateFrom lowers the schedule using rep, the schedule's recorded
+// allocation replay (core.AllocateWithOptions with splitting allowed),
+// for every instance's address; a summary report is an error. It emits
+// per visit: LDCTXT for each kernel whose contexts move, LDFB for each
+// input instance, EXEC per kernel per iteration, and STFB for each
+// result instance the schedule stores (using the address the instance
+// occupied when produced).
 func GenerateFrom(s *core.Schedule, rep *core.AllocationReport) (*Program, error) {
+	if err := rep.CheckRecorded(); err != nil {
+		return nil, fmt.Errorf("codegen: %w", err)
+	}
 	a := s.P.App
 	inst := core.InstancesOf(s)
 	n := inst.Len()

@@ -312,7 +312,7 @@ func TestCheckRejectsMalformedStoreObjects(t *testing.T) {
 // schedule, or a set no visit runs on, is an error, not a silent miss.
 func TestGenerateFromRejectsForeignEvents(t *testing.T) {
 	_, s := generate(t, core.CompleteDataScheduler{}, 400, 4)
-	rep, err := core.Allocate(s, true)
+	rep, err := core.AllocateWithOptions(s, core.AllocOptions{AllowSplit: true})
 	if err != nil {
 		t.Fatal(err)
 	}

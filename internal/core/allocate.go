@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -51,8 +52,11 @@ type AllocEvent struct {
 }
 
 // AllocationReport summarizes the full allocation replay of a schedule.
+// Allocate fills a summary report, which keeps no event log;
+// AllocateWithOptions fills a recorded one.
 type AllocationReport struct {
-	// Events lists every alloc/release in replay order.
+	// Events lists every alloc/release in replay order. It is nil in a
+	// summary report (Allocate).
 	Events []AllocEvent
 	// PeakUsed gives the high-water occupancy of each FB set.
 	PeakUsed map[int]int
@@ -68,10 +72,26 @@ type AllocationReport struct {
 	// inst keys the events' instances; names is their name table,
 	// built on first request and shared by copies of the report. A
 	// report without names (not built by Allocate or
-	// NewAllocationReport) names no instance.
-	inst  Instances
-	names *instanceNames
+	// NewAllocationReport) names no instance. summary marks a report
+	// whose replay kept no event log, so its nil Events is not an empty
+	// log.
+	inst    Instances
+	names   *instanceNames
+	summary bool
 }
+
+// CheckRecorded returns an error for a summary report (Allocate), whose
+// events were not kept, so that a walk of the events never mistakes it
+// for an empty replay.
+func (r *AllocationReport) CheckRecorded() error {
+	if r.summary {
+		return errSummary
+	}
+	return nil
+}
+
+// errSummary is the error of a walk asked of a summary report.
+var errSummary = errors.New("core: allocation report is a summary without events (replay with AllocateWithOptions to record them)")
 
 // instanceNames is a report's table of instance names, indexed by
 // instance key. It is built once, on first request, so a cached report
@@ -182,19 +202,31 @@ type AllocOptions struct {
 // results from the bottom, release at last use, address regularity across
 // blocks) and verifies that every visit's working set actually fits.
 // allowSplit enables the paper's last-resort splitting.
+//
+// The report is a summary: it carries the peaks, splits and regularity
+// but no event log (Events is nil). Every check of the replay runs all
+// the same; AllocateWithOptions records the events.
 func Allocate(s *Schedule, allowSplit bool) (*AllocationReport, error) {
-	return AllocateWithOptions(s, AllocOptions{AllowSplit: allowSplit})
+	return allocate(s, AllocOptions{AllowSplit: allowSplit}, false)
 }
 
-// AllocateWithOptions is Allocate with an explicit allocator policy.
+// AllocateWithOptions is Allocate with an explicit allocator policy. Its
+// report records every event, for the consumers that walk them (the
+// verifier, code generation, the functional machine, the Figure 5 views).
 func AllocateWithOptions(s *Schedule, opts AllocOptions) (*AllocationReport, error) {
+	return allocate(s, opts, true)
+}
+
+// allocate is the one allocation replay; record keeps its event log.
+func allocate(s *Schedule, opts AllocOptions, record bool) (*AllocationReport, error) {
 	a := s.P.App
 	if !a.Finalized() {
 		// The replay walks interned datum IDs.
-		return &AllocationReport{PeakUsed: map[int]int{}, Regular: true},
+		return &AllocationReport{PeakUsed: map[int]int{}, Regular: true, summary: !record},
 			fmt.Errorf("core: allocation replay of app %q: not finalized (build it with app.Builder or call Finalize)", a.Name)
 	}
 	rep := newReport(s)
+	rep.summary = !record
 	in := rep.inst
 	n := in.Len()
 
@@ -220,14 +252,17 @@ func AllocateWithOptions(s *Schedule, opts AllocOptions) (*AllocationReport, err
 	for i, ci := range s.Info.Clusters {
 		plans[i] = planCluster(s, ci, resultDir)
 	}
-	nAllocs := 0
-	for _, v := range s.Visits {
-		nAllocs += v.Iters * plans[v.Cluster].allocsPerIter
-	}
-	if nAllocs > 0 {
-		// Every placement is released exactly once (the leak check
-		// below), so twice the placement bound bounds the events.
-		rep.Events = make([]AllocEvent, 0, 2*nAllocs)
+	if record {
+		nAllocs := 0
+		for _, v := range s.Visits {
+			nAllocs += v.Iters * plans[v.Cluster].allocsPerIter
+		}
+		if nAllocs > 0 {
+			// Every placement is released exactly once (the leak
+			// check below), so twice the placement bound bounds the
+			// events.
+			rep.Events = make([]AllocEvent, 0, 2*nAllocs)
+		}
 	}
 
 	// prefer[cluster*n+key] remembers each instance's address from the
@@ -254,13 +289,15 @@ func AllocateWithOptions(s *Schedule, opts AllocOptions) (*AllocationReport, err
 			irregular[k] = true
 		}
 		prefer[pk] = int32(p.Addr())
-		ev.Op = OpAlloc
-		ev.Set = set
-		ev.Inst = int32(k)
-		ev.Addr = p.Addr()
-		ev.Bytes = p.Bytes()
-		ev.Split = p.Split()
-		rep.Events = append(rep.Events, ev)
+		if record {
+			ev.Op = OpAlloc
+			ev.Set = set
+			ev.Inst = int32(k)
+			ev.Addr = p.Addr()
+			ev.Bytes = p.Bytes()
+			ev.Split = p.Split()
+			rep.Events = append(rep.Events, ev)
+		}
 		return nil
 	}
 	free := func(fb *alloc.FB, set int, id int32, iter int, ev AllocEvent) error {
@@ -273,12 +310,14 @@ func AllocateWithOptions(s *Schedule, opts AllocOptions) (*AllocationReport, err
 		if err := fb.Release(k); err != nil {
 			return err
 		}
-		ev.Op = OpRelease
-		ev.Set = set
-		ev.Inst = int32(k)
-		ev.Addr = p.Addr()
-		ev.Bytes = p.Bytes()
-		rep.Events = append(rep.Events, ev)
+		if record {
+			ev.Op = OpRelease
+			ev.Set = set
+			ev.Inst = int32(k)
+			ev.Addr = p.Addr()
+			ev.Bytes = p.Bytes()
+			rep.Events = append(rep.Events, ev)
+		}
 		return nil
 	}
 

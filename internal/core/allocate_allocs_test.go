@@ -10,12 +10,13 @@ import (
 
 // TestAllocateAllocs pins the allocation replay's cost on the MPEG CDS
 // schedule (780 events): the allocators and the preferred-address table
-// are keyed by instance key, so no instance name is built; the event
-// list is sized up front and single-extent placements share the
-// allocator's extent slab, so nothing allocates per event. The replay
-// made 2232 allocations when every event formatted its instance name and
-// every placement had its own Extents, and 92 while the allocator was
-// keyed by instance name.
+// are keyed by instance key, so no instance name is built, and
+// single-extent placements share the allocator's extent slab, so nothing
+// allocates per event. The summary replay (Allocate) keeps no event
+// list; the recording one (AllocateWithOptions) sizes its list up front,
+// one allocation more. The replay made 2232 allocations when every event
+// formatted its instance name and every placement had its own Extents,
+// and 92 while the allocator was keyed by instance name.
 func TestAllocateAllocs(t *testing.T) {
 	e := workloads.MPEG()
 	s, err := (core.CompleteDataScheduler{}).Schedule(e.Arch, e.Part)
@@ -27,8 +28,16 @@ func TestAllocateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	if allocs > 68 {
+		t.Errorf("Allocate makes %.0f allocations, want <= 68", allocs)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if _, err := core.AllocateWithOptions(s, core.AllocOptions{AllowSplit: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if allocs > 69 {
-		t.Errorf("Allocate makes %.0f allocations, want <= 69", allocs)
+		t.Errorf("AllocateWithOptions makes %.0f allocations, want <= 69", allocs)
 	}
 }
 

@@ -19,7 +19,7 @@ func scheduleOrFatal(t *testing.T, s Scheduler, fb int, part *app.Partition) *Sc
 func TestAllocateCDSPipe(t *testing.T) {
 	part := pipeApp(t, 4)
 	s := scheduleOrFatal(t, CompleteDataScheduler{}, 360, part)
-	rep, err := Allocate(s, false)
+	rep, err := AllocateWithOptions(s, AllocOptions{})
 	if err != nil {
 		t.Fatalf("Allocate: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestAllocatePeakWithinAnalyticBound(t *testing.T) {
 func TestAllocateSharedOnTopResultsOnBottom(t *testing.T) {
 	part := pipeApp(t, 4)
 	s := scheduleOrFatal(t, CompleteDataScheduler{}, 2048, part)
-	rep, err := Allocate(s, false)
+	rep, err := AllocateWithOptions(s, AllocOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestAllocateBasicAndDS(t *testing.T) {
 func TestAllocateRegularAcrossBlocks(t *testing.T) {
 	part := pipeApp(t, 8) // 4 blocks at RF=2
 	s := scheduleOrFatal(t, CompleteDataScheduler{}, 360, part)
-	rep, err := Allocate(s, false)
+	rep, err := AllocateWithOptions(s, AllocOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

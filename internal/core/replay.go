@@ -40,16 +40,22 @@ type ReplayHooks struct {
 	Stores func(vi int) error
 }
 
-// NewReplay prepares a walk of rep, the schedule's allocation replay.
-func NewReplay(s *Schedule, rep *AllocationReport) *Replay {
-	r := &Replay{s: s, rep: rep, Inst: InstancesOf(s)}
+// NewReplay prepares a walk of rep, the schedule's recorded allocation
+// replay (AllocateWithOptions). A summary report (Allocate) is an error.
+// It is kept within the compiler's inlining budget, so a caller's Replay
+// does not escape to the heap.
+func NewReplay(s *Schedule, rep *AllocationReport) (*Replay, error) {
+	if rep.summary {
+		return nil, errSummary
+	}
+	sets := -1
 	for _, v := range s.Visits {
-		r.Sets = max(r.Sets, v.Set+1)
+		sets = max(sets, v.Set)
 	}
-	for i := range rep.Events {
-		r.Sets = max(r.Sets, rep.Events[i].Set+1)
+	for _, ev := range rep.Events {
+		sets = max(sets, ev.Set)
 	}
-	return r
+	return &Replay{s: s, rep: rep, Inst: InstancesOf(s), Sets: sets + 1}, nil
 }
 
 // Slots returns the size of a per-(set, instance) table.

@@ -65,7 +65,10 @@ func crossSetReplay(t *testing.T) (*Schedule, *AllocationReport) {
 func TestWalkReplay(t *testing.T) {
 	s, rep := crossSetReplay(t)
 	a := s.P.App
-	r := NewReplay(s, rep)
+	r, err := NewReplay(s, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var log []string
 	hooks := ReplayHooks{
 		Event: func(vi, slot int, ev *AllocEvent, load bool) error {
@@ -119,7 +122,11 @@ func TestWalkReplay(t *testing.T) {
 	stray := rep.Events[2]
 	stray.Kernel = 2
 	bad.Events = slices.Insert(slices.Clone(rep.Events), 3, stray)
-	err := NewReplay(s, &bad).Walk(hooks)
+	r, err = NewReplay(s, &bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = r.Walk(hooks)
 	if err == nil || !strings.Contains(err.Error(), "visit 0: event 3 (alloc of \"a#i0\", kernel 2 iteration 0) is out of execution order") {
 		t.Errorf("stray step event: err = %v", err)
 	}

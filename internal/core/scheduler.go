@@ -386,6 +386,15 @@ func carve(moves []Movement, mark int) ([]Movement, int) {
 	return moves[mark:len(moves):len(moves)], len(moves)
 }
 
+// appendScaled appends list, movements of from iterations' data, scaled
+// to to iterations.
+func appendScaled(moves, list []Movement, from, to int) []Movement {
+	for _, m := range list {
+		moves = append(moves, Movement{Datum: m.Datum, Bytes: m.Bytes / from * to})
+	}
+	return moves
+}
+
 // buildVisits fills s.Visits: one visit per (block, cluster), in execution
 // order, with context traffic counted by replaying the Context Memory.
 // The replay can only fail on a broken Context Memory invariant
@@ -418,7 +427,7 @@ func buildVisits(s *Schedule, pa arch.Params, info *extract.Info, rf int, retain
 	s.Visits = make([]Visit, 0, len(bs)*len(info.Clusters))
 
 	for b, iters := range bs {
-		for _, ci := range info.Clusters {
+		for i, ci := range info.Clusters {
 			c := ci.Cluster
 			v := Visit{
 				Cluster: c.Index,
@@ -427,8 +436,14 @@ func buildVisits(s *Schedule, pa arch.Params, info *extract.Info, rf int, retain
 				Iters:   iters,
 			}
 			mark := len(moves)
-			// Data loads.
-			if perKernelLoads {
+			// Data loads. A cluster's data loads and stores depend
+			// only on the cluster and the retention, not on the
+			// block, so a later block moves those of block 0's visit
+			// s.Visits[i], scaled to its own iteration count.
+			switch {
+			case b > 0:
+				moves = appendScaled(moves, s.Visits[i].Loads, bs[0], iters)
+			case perKernelLoads:
 				// Basic Scheduler: each kernel transfers its own
 				// copy of its cluster-external inputs. Streamed
 				// inputs are the exception even here: a streamed
@@ -451,7 +466,7 @@ func buildVisits(s *Schedule, pa arch.Params, info *extract.Info, rf int, retain
 						moves = append(moves, Movement{Datum: name, Bytes: iters * a.SizeOf(name)})
 					}
 				}
-			} else {
+			default:
 				for _, name := range ci.ExternalIn {
 					if loader, ok := rl.loaderCluster[retKey{name, c.Set}]; ok && loader != c.Index {
 						continue // resident: retained by an earlier cluster or kept since production
@@ -461,11 +476,15 @@ func buildVisits(s *Schedule, pa arch.Params, info *extract.Info, rf int, retain
 			}
 			v.Loads, mark = carve(moves, mark)
 			// Result stores.
-			for _, name := range ci.PersistentOut {
-				if rl.skipStore[retKey{name, c.Set}] {
-					continue
+			if b > 0 {
+				moves = appendScaled(moves, s.Visits[i].Stores, bs[0], iters)
+			} else {
+				for _, name := range ci.PersistentOut {
+					if rl.skipStore[retKey{name, c.Set}] {
+						continue
+					}
+					moves = append(moves, Movement{Datum: name, Bytes: iters * a.SizeOf(name)})
 				}
-				moves = append(moves, Movement{Datum: name, Bytes: iters * a.SizeOf(name)})
 			}
 			v.Stores, mark = carve(moves, mark)
 			// Context loads: once per visit per context group at

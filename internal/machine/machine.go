@@ -11,12 +11,13 @@
 // on some workloads; this package shows they still compute the same
 // thing.
 //
-// A run replays the schedule's allocation (core.Allocate) and walks it
-// with core.Replay, the execution-order walk the verifier's liveness
-// check also runs on: placements and releases apply in replay order,
-// each kernel step and each visit's stores run between them, and a read
-// of an instance absent from the reader's set takes the copy on the
-// lowest set that holds it. The machine itself keeps only the bytes: one
+// A run records the schedule's allocation replay
+// (core.AllocateWithOptions) and walks it with core.Replay, the
+// execution-order walk the verifier's liveness check also runs on:
+// placements and releases apply in replay order, each kernel step and
+// each visit's stores run between them, and a read of an instance
+// absent from the reader's set takes the copy on the lowest set that
+// holds it. The machine itself keeps only the bytes: one
 // external-memory entry per (datum, absolute iteration) and one byte
 // slice per Frame Buffer set. A placement is the range [Addr,
 // Addr+Bytes) of its set, so a split placement is copied as one
@@ -158,11 +159,14 @@ func RunWithHooks(s *core.Schedule, seed int64, sem Semantics, hooks *Hooks) (*R
 	}
 	a := s.P.App
 
-	rep, err := core.Allocate(s, true)
+	rep, err := core.AllocateWithOptions(s, core.AllocOptions{AllowSplit: true})
 	if err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
 	}
-	r := core.NewReplay(s, rep)
+	r, err := core.NewReplay(s, rep)
+	if err != nil {
+		return nil, fmt.Errorf("machine: %w", err)
+	}
 
 	// ext[id*extIters+abs] is external memory's copy of datum id's
 	// instance of absolute iteration abs: inputs are generated lazily;

@@ -22,7 +22,10 @@ import (
 // are violations too.
 func checkLiveness(s *core.Schedule, rep *core.AllocationReport) error {
 	a := s.P.App
-	r := core.NewReplay(s, rep)
+	r, err := core.NewReplay(s, rep)
+	if err != nil {
+		return &Error{Invariant: "liveness", Err: err}
+	}
 	// written[slot] marks a live placement that carries real bytes.
 	written := make([]bool, r.Slots())
 
@@ -34,7 +37,7 @@ func checkLiveness(s *core.Schedule, rep *core.AllocationReport) error {
 	}
 	extWritten := make([]bool, a.NumData()*ext)
 
-	err := r.Walk(core.ReplayHooks{
+	err = r.Walk(core.ReplayHooks{
 		Event: func(vi, slot int, ev *core.AllocEvent, load bool) error {
 			if ev.Op == core.OpRelease {
 				written[slot] = false

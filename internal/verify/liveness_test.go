@@ -50,7 +50,7 @@ func TestInstanceSlotStrict(t *testing.T) {
 // visit's run, are violations rather than events the walk never sees.
 func TestLivenessEventOrder(t *testing.T) {
 	s := mpegCDS(t)
-	rep, err := core.Allocate(s, true)
+	rep, err := core.AllocateWithOptions(s, core.AllocOptions{AllowSplit: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,7 +223,7 @@ func addVerdicts(t *testing.T, got map[string][]string, name string, p arch.Para
 			continue
 		}
 		got[key] = []string{verdict(Schedule(s))}
-		rep, err := core.Allocate(s, true)
+		rep, err := core.AllocateWithOptions(s, core.AllocOptions{AllowSplit: true})
 		if err != nil {
 			t.Fatalf("%s: replay: %v", key, err)
 		}

@@ -88,7 +88,7 @@ func Schedule(s *core.Schedule) error {
 	if err := core.ValidateSchedule(s); err != nil {
 		return &Error{Invariant: "structure", Err: err}
 	}
-	rep, err := core.Allocate(s, true)
+	rep, err := core.AllocateWithOptions(s, core.AllocOptions{AllowSplit: true})
 	if err != nil {
 		return &Error{Invariant: "capacity", Err: err}
 	}
@@ -123,7 +123,10 @@ func Schedule(s *core.Schedule) error {
 // and (absent splitting) no two live placements overlap.
 func checkCapacity(s *core.Schedule, rep *core.AllocationReport) error {
 	cap := s.Arch.FBSetBytes
-	r := core.NewReplay(s, rep)
+	r, err := core.NewReplay(s, rep)
+	if err != nil {
+		return &Error{Invariant: "capacity", Err: err}
+	}
 	// live[slot] is the index of the event that placed the instance on
 	// the set, or -1.
 	live := make([]int32, r.Slots())
