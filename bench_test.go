@@ -523,3 +523,30 @@ func BenchmarkCompareAllUncached(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCompareAllUncachedCorpus is BenchmarkCompareAllUncached over
+// the corpus shape instead of MPEG alone: each op compares the next of
+// the GenSpec(1, 0..63) specs, uncached.
+func BenchmarkCompareAllUncachedCorpus(b *testing.B) {
+	prev := SetResultCaching(false)
+	defer SetResultCaching(prev)
+	var exps []workloads.Experiment
+	for i := 0; i < 64; i++ {
+		part, p, err := workloads.GenSpec(1, i).Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := CompareAll(p, part); err != nil {
+			continue // the facade rejects it outright; nothing to time
+		}
+		exps = append(exps, workloads.Experiment{Arch: p, Part: part})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := exps[i%len(exps)]
+		if _, err := CompareAll(e.Arch, e.Part); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

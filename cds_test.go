@@ -1,8 +1,12 @@
 package cds
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"cds/internal/core"
+	"cds/internal/workloads"
 )
 
 // LookupComparison is the (arch, partition)-addressed lookup the cache
@@ -109,5 +113,36 @@ func TestSchedulerKindString(t *testing.T) {
 	}
 	if !strings.Contains(SchedulerKind(7).String(), "7") {
 		t.Error("unknown kind should render numerically")
+	}
+}
+
+// TestScheduleAllocs pins the guarded schedulers' cost on MPEG with the
+// simulator as their evaluator, as the pipeline runs them: the RF guard
+// walks a candidate's transfers for its DMA demand without allocating,
+// and builds and simulates only a candidate that demand cannot rule out.
+// Both schedulers run one Context Memory for all their candidates. DS
+// made 33 allocations and CDS 51 when every candidate was built and
+// scored.
+func TestScheduleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items, so the feasibility scratch pool allocates at random")
+	}
+	e := workloads.MPEG()
+	for _, c := range []struct {
+		sched core.Scheduler
+		max   float64
+	}{
+		{core.DataScheduler{Eval: simCycles}, 13},
+		{core.CompleteDataScheduler{Eval: simCycles}, 35},
+	} {
+		run := func() {
+			if _, err := c.sched.ScheduleCtx(context.Background(), e.Arch, e.Part); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // the memoized analysis
+		if allocs := testing.AllocsPerRun(100, run); allocs > c.max {
+			t.Errorf("%s: ScheduleCtx makes %.0f allocations, want <= %.0f", c.sched.Name(), allocs, c.max)
+		}
 	}
 }

@@ -74,10 +74,11 @@ type AllocationReport struct {
 	// report without names (not built by Allocate or
 	// NewAllocationReport) names no instance. summary marks a report
 	// whose replay kept no event log, so its nil Events is not an empty
-	// log.
-	inst    Instances
-	names   *instanceNames
-	summary bool
+	// log. replayed counts the blocks the replay walked.
+	inst     Instances
+	names    *instanceNames
+	summary  bool
+	replayed int
 }
 
 // CheckRecorded returns an error for a summary report (Allocate), whose
@@ -205,7 +206,11 @@ type AllocOptions struct {
 //
 // The report is a summary: it carries the peaks, splits and regularity
 // but no event log (Events is nil). Every check of the replay runs all
-// the same; AllocateWithOptions records the events.
+// the same, but the walk stops at the replay's period: once a block
+// leaves the allocators and the remembered addresses as it found them,
+// each following block of the same visits would repeat it exactly, so
+// it is counted instead of walked. AllocateWithOptions walks every block
+// and records the events.
 func Allocate(s *Schedule, allowSplit bool) (*AllocationReport, error) {
 	return allocate(s, AllocOptions{AllowSplit: allowSplit}, false)
 }
@@ -275,6 +280,9 @@ func allocate(s *Schedule, opts AllocOptions, record bool) (*AllocationReport, e
 		prefer[i] = -1
 	}
 	irregular := map[int]bool{}
+	// moved records that a placement changed a remembered address since
+	// the current block began.
+	moved := false
 
 	place := func(fb *alloc.FB, set int, id int32, iter int, dir alloc.Dir, ev AllocEvent) error {
 		k := in.Key(id, iter)
@@ -288,7 +296,10 @@ func allocate(s *Schedule, opts AllocOptions, record bool) (*AllocationReport, e
 		if want >= 0 && p.Addr() != want {
 			irregular[k] = true
 		}
-		prefer[pk] = int32(p.Addr())
+		if prefer[pk] != int32(p.Addr()) {
+			prefer[pk] = int32(p.Addr())
+			moved = true
+		}
 		if record {
 			ev.Op = OpAlloc
 			ev.Set = set
@@ -321,7 +332,21 @@ func allocate(s *Schedule, opts AllocOptions, record bool) (*AllocationReport, e
 		return nil
 	}
 
-	for _, v := range s.Visits {
+	// Loop fission runs the same visits in every RF block. A summary
+	// stops at the replay's period: a block that starts and ends with
+	// every set empty and remembers no new address leaves the replay
+	// state as it found it, so each following block of the same visits
+	// would repeat it exactly, splits included. The recording walks
+	// every block for its events. start and end bound the current block;
+	// splits counts the splits made before it.
+	skippedSplits, start, end, splits, periodic := 0, 0, 0, 0, false
+	for i := 0; i < len(s.Visits); i++ {
+		if i == end {
+			start, end = i, blockEnd(s.Visits, i)
+			rep.replayed++
+			periodic, moved, splits = !record && allEmpty(fbs), false, totalSplits(fbs)
+		}
+		v := s.Visits[i]
 		c := s.Info.Clusters[v.Cluster].Cluster
 		pl := &plans[v.Cluster]
 		fb := fbs[c.Set]
@@ -398,6 +423,19 @@ func allocate(s *Schedule, opts AllocOptions, record bool) (*AllocationReport, e
 			return rep, fmt.Errorf("core: allocator invariants after cluster %d block %d: %w",
 				c.Index, v.Block, err)
 		}
+
+		if i+1 == end && periodic && !moved && allEmpty(fbs) {
+			delta := totalSplits(fbs) - splits
+			for end < len(s.Visits) {
+				next := blockEnd(s.Visits, end)
+				if !sameVisits(s.Visits[start:i+1], s.Visits[end:next]) {
+					break
+				}
+				skippedSplits += delta
+				end = next
+			}
+			i = end - 1
+		}
 	}
 
 	// Every FB set must be empty at the end: all lifetimes matched.
@@ -411,12 +449,58 @@ func allocate(s *Schedule, opts AllocOptions, record bool) (*AllocationReport, e
 		rep.PeakUsed[set] = fb.PeakUsed()
 		rep.Splits += fb.Splits()
 	}
+	rep.Splits += skippedSplits
 	for k := range irregular {
 		rep.IrregularObjects = append(rep.IrregularObjects, in.Name(k))
 	}
 	sort.Strings(rep.IrregularObjects)
 	rep.Regular = len(rep.IrregularObjects) == 0
 	return rep, nil
+}
+
+// blockEnd returns the end of the block that starts at visits[start]: the
+// run of visits that share its Block.
+func blockEnd(visits []Visit, start int) int {
+	end := start + 1
+	for end < len(visits) && visits[end].Block == visits[start].Block {
+		end++
+	}
+	return end
+}
+
+// sameVisits reports whether two blocks visit the same clusters in the
+// same order for as many iterations each.
+func sameVisits(a, b []Visit) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Cluster != b[i].Cluster || a[i].Iters != b[i].Iters {
+			return false
+		}
+	}
+	return true
+}
+
+// allEmpty reports whether every FB set holds nothing.
+func allEmpty(fbs []*alloc.FB) bool {
+	for _, fb := range fbs {
+		if fb != nil && fb.Used() != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// totalSplits returns the splits made so far across the FB sets.
+func totalSplits(fbs []*alloc.FB) int {
+	n := 0
+	for _, fb := range fbs {
+		if fb != nil {
+			n += fb.Splits()
+		}
+	}
+	return n
 }
 
 // clusterReplay is one cluster's part of the allocation replay, resolved

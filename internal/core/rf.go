@@ -52,7 +52,7 @@ func blocks(iterations, rf int) []int {
 	if rf < 1 {
 		rf = 1
 	}
-	var out []int
+	out := make([]int, 0, (iterations+rf-1)/rf)
 	for done := 0; done < iterations; done += rf {
 		n := rf
 		if iterations-done < n {

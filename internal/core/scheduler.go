@@ -44,6 +44,13 @@ func (Basic) ScheduleCtx(ctx context.Context, pa arch.Params, part *app.Partitio
 // (internal/sim, wired in by the top-level cds package — core itself
 // cannot import the simulator) instead of assuming more context reuse is
 // always at least as fast. See the RF guard note on DataScheduler.
+//
+// Contract: an evaluator never scores a schedule below its DMA demand,
+// the context cycles of all its context words plus the data cycles of
+// every load and store. The one DMA channel carries every transfer, so
+// any timing model that runs them meets it; sim.Run does. The RF guard
+// relies on it: a candidate whose demand alone reaches the best time so
+// far is dropped without being built or scored.
 type TimingEvaluator func(*Schedule) (int, error)
 
 // DataScheduler is the ISSS'01 Data Scheduler: within-cluster space reuse
@@ -59,9 +66,14 @@ type TimingEvaluator func(*Schedule) (int, error)
 // "regress/rf-tail-store"). When Eval is set, the scheduler therefore
 // sweeps the feasible reuse factors, scores each candidate schedule with
 // the timing model, and keeps the fastest — preferring the paper's higher
-// RF on ties. A nil Eval keeps the paper's literal RF-max policy.
+// RF on ties. A candidate whose DMA demand already reaches the fastest
+// time so far cannot win, so it is never built or scored (see the
+// contract on TimingEvaluator). A nil Eval keeps the paper's literal
+// RF-max policy.
 type DataScheduler struct {
-	// Eval, when non-nil, guards the RF choice with a timing model.
+	// Eval, when non-nil, guards the RF choice with a timing model. It
+	// scores RF-max and each lower RF its DMA demand does not rule out;
+	// it must never return less than a schedule's DMA demand.
 	Eval TimingEvaluator
 }
 
@@ -75,12 +87,16 @@ func (d DataScheduler) Schedule(pa arch.Params, part *app.Partition) (*Schedule,
 
 // ScheduleCtx implements Scheduler.
 func (d DataScheduler) ScheduleCtx(ctx context.Context, pa arch.Params, part *app.Partition) (*Schedule, error) {
-	return schedule(ctx, "ds", pa, part, scheduleOpts{
+	return schedule(ctx, "ds", pa, part, d.opts())
+}
+
+func (d DataScheduler) opts() scheduleOpts {
+	return scheduleOpts{
 		rfEnabled:      true,
 		inPlaceRelease: true,
 		retention:      false,
 		evaluate:       d.Eval,
-	})
+	}
 }
 
 // RFPolicy selects how the Complete Data Scheduler picks the reuse factor.
@@ -118,8 +134,10 @@ type CompleteDataScheduler struct {
 	// RF selects the reuse-factor policy (the paper's RFMax by default).
 	RF RFPolicy
 	// Eval, when non-nil, guards the RF choice with a timing model —
-	// see the note on DataScheduler. Ignored under RFSweep, which runs
-	// its own joint RF/retention sweep.
+	// see the note on DataScheduler. As there, it scores only the
+	// candidates their DMA demand does not rule out, and must never
+	// return less than a schedule's DMA demand. Ignored under RFSweep,
+	// which runs its own joint RF/retention sweep.
 	Eval TimingEvaluator
 }
 
@@ -133,19 +151,8 @@ func (c CompleteDataScheduler) Schedule(pa arch.Params, part *app.Partition) (*S
 
 // ScheduleCtx implements Scheduler.
 func (c CompleteDataScheduler) ScheduleCtx(ctx context.Context, pa arch.Params, part *app.Partition) (*Schedule, error) {
-	ranking := c.Ranking
-	if ranking == nil {
-		ranking = RankTF
-	}
-	opts := scheduleOpts{
-		rfEnabled:      true,
-		inPlaceRelease: true,
-		retention:      true,
-		ranking:        ranking,
-		crossSet:       c.CrossSetReuse,
-	}
+	opts := c.opts()
 	if c.RF != RFSweep {
-		opts.evaluate = c.Eval
 		return schedule(ctx, "cds", pa, part, opts)
 	}
 	// Sweep: build one schedule per feasible RF and keep the one with
@@ -194,19 +201,43 @@ func (c CompleteDataScheduler) ScheduleCtx(ctx context.Context, pa arch.Params, 
 	return best, nil
 }
 
-// dmaCost estimates a schedule's DMA channel demand in cycles.
+func (c CompleteDataScheduler) opts() scheduleOpts {
+	ranking := c.Ranking
+	if ranking == nil {
+		ranking = RankTF
+	}
+	opts := scheduleOpts{
+		rfEnabled:      true,
+		inPlaceRelease: true,
+		retention:      true,
+		ranking:        ranking,
+		crossSet:       c.CrossSetReuse,
+	}
+	if c.RF != RFSweep {
+		opts.evaluate = c.Eval
+	}
+	return opts
+}
+
+// dmaCost is a schedule's DMA channel demand in cycles: the context cycles
+// of all its context words plus the data cycles of every load and store.
+// The one channel carries every transfer, so no timing model runs the
+// schedule faster.
 func dmaCost(s *Schedule) int {
-	p := s.Arch
-	cost := p.ContextCycles(s.TotalCtxWords())
+	cost := s.Arch.ContextCycles(s.TotalCtxWords())
 	for _, v := range s.Visits {
-		for _, m := range v.Loads {
-			cost += p.DataCycles(m.Bytes)
-		}
-		for _, m := range v.Stores {
-			cost += p.DataCycles(m.Bytes)
-		}
+		cost += dataCycles(s.Arch, v.Loads) + dataCycles(s.Arch, v.Stores)
 	}
 	return cost
+}
+
+// dataCycles returns the DMA cycles of the movements, each one transfer.
+func dataCycles(p arch.Params, moves []Movement) int {
+	n := 0
+	for _, m := range moves {
+		n += p.DataCycles(m.Bytes)
+	}
+	return n
 }
 
 type scheduleOpts struct {
@@ -230,57 +261,12 @@ type scheduleOpts struct {
 // schedule is the shared pipeline: analyze, check feasibility, pick RF,
 // pick retention, and emit the visit sequence with exact transfer volumes.
 func schedule(ctx context.Context, name string, pa arch.Params, part *app.Partition, opts scheduleOpts) (*Schedule, error) {
-	if err := scherr.FromContext(ctx); err != nil {
-		return nil, fmt.Errorf("core: %s scheduler: %w", name, err)
-	}
-	if err := pa.Validate(); err != nil {
+	p, rf, err := plan(ctx, name, pa, part, opts)
+	if err != nil {
 		return nil, err
 	}
-	if err := part.Validate(); err != nil {
-		return nil, err
-	}
-	// The analysis depends only on (partition, cross-set flag), so all
-	// three schedulers, every RF-sweep variant and every FB-sweep point
-	// share one memoized Info; it is immutable from here on.
-	info := extract.AnalyzeCached(part, extract.Opts{CrossSetReuse: opts.crossSet})
-
-	// Feasibility at RF=1 with no retention is the baseline requirement.
-	if ok, ierr := feasibleRF(pa.FBSetBytes, info, 1, opts.inPlaceRelease, nil); !ok {
-		ierr.Scheduler = name
-		return nil, ierr
-	}
-
-	rf := 1
-	if opts.rfEnabled {
-		rf = CommonRF(pa.FBSetBytes, info, opts.inPlaceRelease, nil)
-	}
-	if opts.forcedRF > 0 {
-		if opts.forcedRF > rf {
-			return nil, fmt.Errorf("core: forced RF %d exceeds the feasible maximum %d", opts.forcedRF, rf)
-		}
-		rf = opts.forcedRF
-	}
-
-	build := func(rf int) (*Schedule, error) {
-		var retained []Retained
-		if opts.retention {
-			retained = selectRetention(pa.FBSetBytes, info, rf, opts.ranking)
-		}
-		s := &Schedule{
-			Scheduler:      name,
-			Arch:           pa,
-			P:              part,
-			Info:           info,
-			RF:             rf,
-			Retained:       retained,
-			InPlaceRelease: opts.inPlaceRelease,
-		}
-		if err := buildVisits(s, pa, info, rf, retained, opts.perKernelLoads); err != nil {
-			return nil, fmt.Errorf("core: %s scheduler: %w", name, err)
-		}
-		return s, nil
-	}
-	s, err := build(rf)
+	c := p.candidate(rf)
+	s, err := p.build(&c)
 	if err != nil {
 		return nil, err
 	}
@@ -298,10 +284,24 @@ func schedule(ctx context.Context, name string, pa arch.Params, part *app.Partit
 		return nil, fmt.Errorf("core: %s scheduler: rf guard: %w", name, err)
 	}
 	for r := rf - 1; r >= 1; r-- {
-		if ok, _ := feasibleRF(pa.FBSetBytes, info, r, opts.inPlaceRelease, nil); !ok {
+		if err := scherr.FromContext(ctx); err != nil {
+			return nil, fmt.Errorf("core: %s scheduler: rf guard: %w", name, err)
+		}
+		if !p.feasible(r) {
 			continue // footprint holes are possible below the common RF
 		}
-		cand, err := build(r)
+		c := p.candidate(r)
+		// An evaluator never scores a schedule below its DMA demand
+		// (TimingEvaluator), so a candidate whose demand alone reaches
+		// best cannot win: it is neither built nor scored.
+		demand, err := p.demand(&c)
+		if err != nil {
+			return nil, err
+		}
+		if demand >= best {
+			continue
+		}
+		cand, err := p.build(&c)
 		if err != nil {
 			return nil, err
 		}
@@ -314,6 +314,112 @@ func schedule(ctx context.Context, name string, pa arch.Params, part *app.Partit
 		}
 	}
 	return s, nil
+}
+
+// planner holds what every reuse-factor candidate of one schedule call
+// shares: the analysis, the options and one Context Memory, which each
+// transfer walk replays from empty.
+type planner struct {
+	name    string
+	pa      arch.Params
+	part    *app.Partition
+	info    *extract.Info
+	opts    scheduleOpts
+	groupOf []int32
+	cm      *arch.ContextMemory
+}
+
+// plan validates the inputs, analyzes the partition, checks that one
+// iteration fits and returns the planner with the highest feasible RF
+// (the forced one under an RF sweep).
+func plan(ctx context.Context, name string, pa arch.Params, part *app.Partition, opts scheduleOpts) (*planner, int, error) {
+	if err := scherr.FromContext(ctx); err != nil {
+		return nil, 0, fmt.Errorf("core: %s scheduler: %w", name, err)
+	}
+	if err := pa.Validate(); err != nil {
+		return nil, 0, err
+	}
+	if err := part.Validate(); err != nil {
+		return nil, 0, err
+	}
+	// The analysis depends only on (partition, cross-set flag), so all
+	// three schedulers, every RF-sweep variant and every FB-sweep point
+	// share one memoized Info; it is immutable from here on.
+	info := extract.AnalyzeCached(part, extract.Opts{CrossSetReuse: opts.crossSet})
+
+	// Feasibility at RF=1 with no retention is the baseline requirement.
+	if ok, ierr := feasibleRF(pa.FBSetBytes, info, 1, opts.inPlaceRelease, nil); !ok {
+		ierr.Scheduler = name
+		return nil, 0, ierr
+	}
+
+	rf := 1
+	if opts.rfEnabled {
+		rf = CommonRF(pa.FBSetBytes, info, opts.inPlaceRelease, nil)
+	}
+	if opts.forcedRF > 0 {
+		if opts.forcedRF > rf {
+			return nil, 0, fmt.Errorf("core: forced RF %d exceeds the feasible maximum %d", opts.forcedRF, rf)
+		}
+		rf = opts.forcedRF
+	}
+	groupOf, groups := info.P.App.CtxGroups()
+	cm := arch.NewContextMemory(pa.CMWords, len(groups), func(g int) string { return groups[g] })
+	return &planner{name: name, pa: pa, part: part, info: info, opts: opts, groupOf: groupOf, cm: cm}, rf, nil
+}
+
+// feasible reports whether rf iterations of every cluster fit without
+// retention.
+func (p *planner) feasible(rf int) bool {
+	ok, _ := feasibleRF(p.pa.FBSetBytes, p.info, rf, p.opts.inPlaceRelease, nil)
+	return ok
+}
+
+// candidate is one reuse factor's schedule before its visits exist: the
+// retention selected at that RF and the state of its transfer walk,
+// which the DMA demand and the build share.
+type candidate struct {
+	rf       int
+	retained []Retained
+	rl       retainedLookups
+	bs       []int
+}
+
+// candidate selects the retention at rf and prepares its transfer walk.
+func (p *planner) candidate(rf int) candidate {
+	var retained []Retained
+	if p.opts.retention {
+		retained = selectRetention(p.pa.FBSetBytes, p.info, rf, p.opts.ranking)
+	}
+	return candidate{rf: rf, retained: retained, rl: buildRetainedLookups(retained, p.info),
+		bs: blocks(p.info.P.App.Iterations, rf)}
+}
+
+// build makes the candidate's schedule.
+func (p *planner) build(c *candidate) (*Schedule, error) {
+	s := &Schedule{
+		Scheduler:      p.name,
+		Arch:           p.pa,
+		P:              p.part,
+		Info:           p.info,
+		RF:             c.rf,
+		Retained:       c.retained,
+		InPlaceRelease: p.opts.inPlaceRelease,
+	}
+	if _, err := p.walk(c, s); err != nil {
+		return nil, fmt.Errorf("core: %s scheduler: %w", p.name, err)
+	}
+	return s, nil
+}
+
+// demand returns the DMA demand (dmaCost) of the schedule build would
+// make, without making it.
+func (p *planner) demand(c *candidate) (int, error) {
+	cost, err := p.walk(c, nil)
+	if err != nil {
+		return 0, fmt.Errorf("core: %s scheduler: %w", p.name, err)
+	}
+	return cost, nil
 }
 
 // retKey scopes a retained object to its FB set: the same datum can be
@@ -336,44 +442,43 @@ type retainedLookups struct {
 }
 
 func buildRetainedLookups(retained []Retained, info *extract.Info) retainedLookups {
+	if len(retained) == 0 {
+		return retainedLookups{} // nil maps: nothing is resident, every store runs
+	}
 	rl := retainedLookups{
 		loaderCluster: map[retKey]int{},
 		skipStore:     map[retKey]bool{},
 	}
-	shared := map[retKey]extract.SharedResult{}
-	for _, sr := range info.SharedResults {
-		shared[retKey{sr.Name, sr.Set}] = sr
-	}
-	// Collect the FB sets in use so cross-set retention can register
-	// its effect for consumers on every set.
-	setsInUse := map[int]bool{}
-	for _, c := range info.P.Clusters {
-		setsInUse[c.Set] = true
-	}
 	for _, r := range retained {
-		key := retKey{r.Name, r.Set}
-		keys := []retKey{key}
+		loader := r.From
+		if r.Kind == RetainedResult {
+			loader = -1
+		}
+		rl.loaderCluster[retKey{r.Name, r.Set}] = loader
 		if r.CrossSet {
-			keys = keys[:0]
-			for set := range setsInUse {
-				keys = append(keys, retKey{r.Name, set})
+			// Cross-set retention takes effect for consumers on
+			// every FB set in use.
+			for _, c := range info.P.Clusters {
+				rl.loaderCluster[retKey{r.Name, c.Set}] = loader
 			}
 		}
-		switch r.Kind {
-		case RetainedData:
-			for _, k := range keys {
-				rl.loaderCluster[k] = r.From
-			}
-		case RetainedResult:
-			for _, k := range keys {
-				rl.loaderCluster[k] = -1
-			}
-			if sr, ok := shared[key]; ok && sr.StoreAvoidable() {
-				rl.skipStore[key] = true
-			}
+		if r.Kind == RetainedResult && storeAvoidable(info, r) {
+			rl.skipStore[retKey{r.Name, r.Set}] = true
 		}
 	}
 	return rl
+}
+
+// storeAvoidable reports whether retained result r's external store can
+// be skipped: its shared result on r's set is neither final nor consumed
+// on another set.
+func storeAvoidable(info *extract.Info, r Retained) bool {
+	for i := len(info.SharedResults) - 1; i >= 0; i-- {
+		if sr := info.SharedResults[i]; sr.Name == r.Name && sr.Set == r.Set {
+			return sr.StoreAvoidable()
+		}
+	}
+	return false
 }
 
 // carve returns the movements appended since mark as a slice whose
@@ -395,98 +500,83 @@ func appendScaled(moves, list []Movement, from, to int) []Movement {
 	return moves
 }
 
-// buildVisits fills s.Visits: one visit per (block, cluster), in execution
-// order, with context traffic counted by replaying the Context Memory.
+// walk is the one (block, cluster) walk over a candidate's transfers. It
+// returns their DMA demand, which is dmaCost of the schedule they make:
+// the context cycles of every word the Context Memory replay loads plus
+// the data cycles of every load and store. With s non-nil it also fills
+// s.Visits, one visit per (block, cluster) in execution order. With s nil
+// it is the summary form: it builds no visit and allocates nothing.
+//
 // The replay can only fail on a broken Context Memory invariant
 // (scherr.ErrInternal); the expected arch.ErrDoesNotFit outcome for a
 // kernel bigger than the whole CM is absorbed as a full reload per visit.
-func buildVisits(s *Schedule, pa arch.Params, info *extract.Info, rf int, retained []Retained, perKernelLoads bool) error {
-	a := info.P.App
-	rl := buildRetainedLookups(retained, info)
-	groupOf, groups := a.CtxGroups()
-	cm := arch.NewContextMemory(pa.CMWords, len(groups), func(g int) string { return groups[g] })
-
-	// Every visit's Loads, Stores and CtxLoads are carved from one
-	// backing array, sized by the per-block bound: a cluster loads at
-	// most its external inputs (Basic: each kernel's inputs), stores at
-	// most its persistent results and loads contexts at most once per
-	// kernel.
-	bs := blocks(a.Iterations, rf)
-	perBlock := 0
-	for _, ci := range info.Clusters {
-		if perKernelLoads {
-			for _, ki := range ci.Cluster.Kernels {
-				perBlock += len(a.Kernels[ki].Inputs)
+func (p *planner) walk(c *candidate, s *Schedule) (int, error) {
+	a := p.info.P.App
+	record := s != nil
+	var moves []Movement
+	if record {
+		// Every visit's Loads, Stores and CtxLoads are carved from one
+		// backing array, sized by the per-block bound: a cluster loads
+		// at most its external inputs (Basic: each kernel's inputs),
+		// stores at most its persistent results and loads contexts at
+		// most once per kernel.
+		perBlock := 0
+		for _, ci := range p.info.Clusters {
+			if p.opts.perKernelLoads {
+				for _, ki := range ci.Cluster.Kernels {
+					perBlock += len(a.Kernels[ki].Inputs)
+				}
+			} else {
+				perBlock += len(ci.ExternalIn)
 			}
-		} else {
-			perBlock += len(ci.ExternalIn)
+			perBlock += len(ci.PersistentOut) + len(ci.Cluster.Kernels)
 		}
-		perBlock += len(ci.PersistentOut) + len(ci.Cluster.Kernels)
+		moves = make([]Movement, 0, len(c.bs)*perBlock)
+		s.Visits = make([]Visit, 0, len(c.bs)*len(p.info.Clusters))
 	}
-	moves := make([]Movement, 0, len(bs)*perBlock)
-	s.Visits = make([]Visit, 0, len(bs)*len(info.Clusters))
+	p.cm.Reset()
 
-	for b, iters := range bs {
-		for i, ci := range info.Clusters {
-			c := ci.Cluster
+	ctxWords, data, block0 := 0, 0, 0
+	for b, iters := range c.bs {
+		// A cluster's data loads and stores depend only on the cluster
+		// and the retention, not on the block. So a later block moves
+		// block 0's data scaled to its own iteration count, and one of
+		// as many iterations as block 0 costs block 0's data cycles.
+		repeat := b > 0 && iters == c.bs[0]
+		if repeat {
+			data += block0
+		}
+		for i := range p.info.Clusters {
+			ci := &p.info.Clusters[i]
+			cl := ci.Cluster
 			v := Visit{
-				Cluster: c.Index,
-				Set:     c.Set,
+				Cluster: cl.Index,
+				Set:     cl.Set,
 				Block:   b,
 				Iters:   iters,
 			}
 			mark := len(moves)
-			// Data loads. A cluster's data loads and stores depend
-			// only on the cluster and the retention, not on the
-			// block, so a later block moves those of block 0's visit
-			// s.Visits[i], scaled to its own iteration count.
 			switch {
-			case b > 0:
-				moves = appendScaled(moves, s.Visits[i].Loads, bs[0], iters)
-			case perKernelLoads:
-				// Basic Scheduler: each kernel transfers its own
-				// copy of its cluster-external inputs. Streamed
-				// inputs are the exception even here: a streamed
-				// datum arrives just in time for its first consumer
-				// and stays placed for the rest of the visit, so a
-				// second consumer reads the resident copy rather
-				// than transferring its own.
-				streamedCharged := map[string]bool{}
-				for _, ki := range c.Kernels {
-					for _, name := range a.Kernels[ki].Inputs {
-						if p, produced := a.Producer(name); produced && c.Contains(p) {
-							continue // intra-cluster intermediate
-						}
-						if a.IsStreamed(name) {
-							if streamedCharged[name] {
-								continue
-							}
-							streamedCharged[name] = true
-						}
-						moves = append(moves, Movement{Datum: name, Bytes: iters * a.SizeOf(name)})
-					}
+			case record && b > 0:
+				// Block 0's visit s.Visits[i], scaled.
+				moves = appendScaled(moves, s.Visits[i].Loads, c.bs[0], iters)
+				v.Loads, mark = carve(moves, mark)
+				moves = appendScaled(moves, s.Visits[i].Stores, c.bs[0], iters)
+				v.Stores, mark = carve(moves, mark)
+				if !repeat {
+					data += dataCycles(p.pa, v.Loads) + dataCycles(p.pa, v.Stores)
 				}
-			default:
-				for _, name := range ci.ExternalIn {
-					if loader, ok := rl.loaderCluster[retKey{name, c.Set}]; ok && loader != c.Index {
-						continue // resident: retained by an earlier cluster or kept since production
-					}
-					moves = append(moves, Movement{Datum: name, Bytes: iters * a.SizeOf(name)})
+			case !repeat:
+				var loads, stores int
+				moves, loads = p.loads(moves, c, ci, iters, record)
+				v.Loads, mark = carve(moves, mark)
+				moves, stores = p.stores(moves, c, ci, iters, record)
+				v.Stores, mark = carve(moves, mark)
+				data += loads + stores
+				if b == 0 {
+					block0 += loads + stores
 				}
 			}
-			v.Loads, mark = carve(moves, mark)
-			// Result stores.
-			if b > 0 {
-				moves = appendScaled(moves, s.Visits[i].Stores, bs[0], iters)
-			} else {
-				for _, name := range ci.PersistentOut {
-					if rl.skipStore[retKey{name, c.Set}] {
-						continue
-					}
-					moves = append(moves, Movement{Datum: name, Bytes: iters * a.SizeOf(name)})
-				}
-			}
-			v.Stores, mark = carve(moves, mark)
 			// Context loads: once per visit per context group at
 			// most, fewer if the group survived in the CM. The Basic
 			// Scheduler (perKernelLoads) is the DATE'99 baseline with
@@ -496,35 +586,100 @@ func buildVisits(s *Schedule, pa arch.Params, info *extract.Info, rf int, retain
 			// still be resident — pinning its traffic to
 			// iterations x sum(ContextWords) (per-visit group sharing
 			// from intra-kernel tiling still deduplicates).
-			if perKernelLoads {
-				cm.Reset()
+			if p.opts.perKernelLoads {
+				p.cm.Reset()
 			}
-			for _, ki := range c.Kernels {
+			for _, ki := range cl.Kernels {
 				k := &a.Kernels[ki]
-				moved, err := cm.Load(int(groupOf[ki]), k.ContextWords)
+				moved, err := p.cm.Load(int(p.groupOf[ki]), k.ContextWords)
 				if err != nil {
 					if !errors.Is(err, arch.ErrDoesNotFit) {
 						// Anything but the expected
 						// too-big-for-the-CM outcome means the
 						// replay state itself broke; surface it
 						// instead of mis-charging traffic.
-						return fmt.Errorf("core: context memory replay (cluster %d block %d): %w",
-							c.Index, b, err)
+						return 0, fmt.Errorf("core: context memory replay (cluster %d block %d): %w",
+							cl.Index, b, err)
 					}
 					// A kernel whose contexts exceed the whole
 					// CM reloads in pieces every visit; charge
 					// the full volume.
 					moved = k.ContextWords
 				}
-				if moved > 0 {
+				if moved > 0 && record {
 					moves = append(moves, Movement{Datum: k.CtxGroup(), Bytes: moved})
 				}
+				ctxWords += moved
 				v.CtxWords += moved
 				v.ComputeCycles += iters * k.ComputeCycles
 			}
-			v.CtxLoads, _ = carve(moves, mark)
-			s.Visits = append(s.Visits, v)
+			if record {
+				v.CtxLoads, _ = carve(moves, mark)
+				s.Visits = append(s.Visits, v)
+			}
 		}
 	}
-	return nil
+	return p.pa.ContextCycles(ctxWords) + data, nil
+}
+
+// transfer charges one data movement: its DMA cycles, and the movement
+// itself when record.
+func (p *planner) transfer(moves []Movement, cycles int, record bool, name string, bytes int) ([]Movement, int) {
+	if record {
+		moves = append(moves, Movement{Datum: name, Bytes: bytes})
+	}
+	return moves, cycles + p.pa.DataCycles(bytes)
+}
+
+// loads charges the data loads of one visit of cluster ci for iters
+// iterations under the candidate's retention.
+func (p *planner) loads(moves []Movement, c *candidate, ci *extract.ClusterInfo, iters int, record bool) ([]Movement, int) {
+	a := p.info.P.App
+	cl := ci.Cluster
+	cycles := 0
+	if p.opts.perKernelLoads {
+		// Basic Scheduler: each kernel transfers its own copy of its
+		// cluster-external inputs. Streamed inputs are the exception
+		// even here: a streamed datum arrives just in time for its
+		// first consumer and stays placed for the rest of the visit,
+		// so a second consumer reads the resident copy rather than
+		// transferring its own.
+		streamedCharged := map[string]bool{}
+		for _, ki := range cl.Kernels {
+			for _, name := range a.Kernels[ki].Inputs {
+				if prod, produced := a.Producer(name); produced && cl.Contains(prod) {
+					continue // intra-cluster intermediate
+				}
+				if a.IsStreamed(name) {
+					if streamedCharged[name] {
+						continue
+					}
+					streamedCharged[name] = true
+				}
+				moves, cycles = p.transfer(moves, cycles, record, name, iters*a.SizeOf(name))
+			}
+		}
+		return moves, cycles
+	}
+	for _, name := range ci.ExternalIn {
+		if loader, ok := c.rl.loaderCluster[retKey{name, cl.Set}]; ok && loader != cl.Index {
+			continue // resident: retained by an earlier cluster or kept since production
+		}
+		moves, cycles = p.transfer(moves, cycles, record, name, iters*a.SizeOf(name))
+	}
+	return moves, cycles
+}
+
+// stores charges the result stores of one visit of cluster ci for iters
+// iterations under the candidate's retention.
+func (p *planner) stores(moves []Movement, c *candidate, ci *extract.ClusterInfo, iters int, record bool) ([]Movement, int) {
+	a := p.info.P.App
+	cycles := 0
+	for _, name := range ci.PersistentOut {
+		if c.rl.skipStore[retKey{name, ci.Cluster.Set}] {
+			continue
+		}
+		moves, cycles = p.transfer(moves, cycles, record, name, iters*a.SizeOf(name))
+	}
+	return moves, cycles
 }

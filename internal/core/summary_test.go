@@ -13,9 +13,9 @@ import (
 )
 
 // corpusSchedules returns every Basic, DS and CDS schedule of the Table 1
-// rows and GenSpec(1, 0..199), keyed by "<app>/<scheduler>"; an
+// rows and GenSpec(1, 0..n-1), keyed by "<app>/<scheduler>"; an
 // infeasible scheduler has no entry.
-func corpusSchedules(t *testing.T) (keys []string, scheds map[string]*core.Schedule) {
+func corpusSchedules(t *testing.T, n int) (keys []string, scheds map[string]*core.Schedule) {
 	t.Helper()
 	scheds = map[string]*core.Schedule{}
 	add := func(name string, e workloads.Experiment) {
@@ -32,7 +32,7 @@ func corpusSchedules(t *testing.T) (keys []string, scheds map[string]*core.Sched
 	for _, e := range workloads.All() {
 		add("table1/"+e.Name, e)
 	}
-	for i := 0; i < 200; i++ {
+	for i := 0; i < n; i++ {
 		part, p, err := workloads.GenSpec(1, i).Build()
 		if err != nil {
 			t.Fatalf("GenSpec(1, %d): %v", i, err)
@@ -43,13 +43,14 @@ func corpusSchedules(t *testing.T) (keys []string, scheds map[string]*core.Sched
 }
 
 // TestSummaryMatchesRecording: Allocate is the recording replay without
-// its event log. On every corpus schedule, and on its ragged copy whose
-// remembered addresses collide, with splitting on and off, both forms
-// agree on the peaks, the splits, the regularity and the error text, and
-// Allocate keeps no events.
+// its event log, stopped at its period. On every corpus schedule, and on
+// its ragged copy whose remembered addresses collide, with splitting on
+// and off, both forms agree on the peaks, the splits, the regularity and
+// the error text, and Allocate keeps no events. The recording walks every
+// block; the summary skips most of the corpus's.
 func TestSummaryMatchesRecording(t *testing.T) {
-	keys, scheds := corpusSchedules(t)
-	errs, irregular := 0, 0
+	keys, scheds := corpusSchedules(t, 544)
+	errs, irregular, splits, blocks, replayed := 0, 0, 0, 0, 0
 	for _, key := range keys {
 		for _, variant := range []string{"", "/ragged"} {
 			s := scheds[key]
@@ -58,34 +59,158 @@ func TestSummaryMatchesRecording(t *testing.T) {
 			}
 			for _, split := range []bool{true, false} {
 				name := fmt.Sprintf("%s%s/split=%v", key, variant, split)
-				sum, serr := core.Allocate(s, split)
-				rec, rerr := core.AllocateWithOptions(s, core.AllocOptions{AllowSplit: split})
-				if fmt.Sprint(serr) != fmt.Sprint(rerr) {
-					t.Fatalf("%s: summary error %v, recording error %v", name, serr, rerr)
-				}
-				if serr != nil {
+				sum, rec := compareReplays(t, name, s, split)
+				if rec == nil {
 					errs++
-				}
-				if sum.Events != nil {
-					t.Fatalf("%s: summary keeps %d events", name, len(sum.Events))
-				}
-				if !maps.Equal(sum.PeakUsed, rec.PeakUsed) || sum.Splits != rec.Splits || sum.Regular != rec.Regular ||
-					!slices.Equal(sum.IrregularObjects, rec.IrregularObjects) {
-					t.Fatalf("%s: summary %v/%d/%v/%v, recording %v/%d/%v/%v", name,
-						sum.PeakUsed, sum.Splits, sum.Regular, sum.IrregularObjects,
-						rec.PeakUsed, rec.Splits, rec.Regular, rec.IrregularObjects)
+					continue
 				}
 				if !rec.Regular {
 					irregular++
 				}
+				if rec.Splits > 0 {
+					splits++
+				}
+				blocks += core.ReplayedBlocks(rec)
+				replayed += core.ReplayedBlocks(sum)
 			}
 		}
 	}
-	// Both the failure and the irregularity paths must have been
+	// The failure, irregularity and split paths must have been
 	// compared, or the parity above is vacuous for them.
-	if errs == 0 || irregular == 0 {
-		t.Errorf("corpus exercised %d failed and %d irregular replays; want both nonzero", errs, irregular)
+	if errs == 0 || irregular == 0 || splits == 0 {
+		t.Errorf("corpus exercised %d failed, %d irregular and %d split replays; want all nonzero", errs, irregular, splits)
 	}
+	t.Logf("summaries replayed %d of %d blocks", replayed, blocks)
+	if replayed*2 > blocks {
+		t.Errorf("summaries replayed %d of %d blocks; want under half", replayed, blocks)
+	}
+}
+
+// compareReplays replays s in both forms and fails unless they agree on
+// the peaks, the splits, the regularity and the error text. It returns
+// the two reports, or a nil recording when the replay failed.
+func compareReplays(t *testing.T, name string, s *core.Schedule, split bool) (sum, rec *core.AllocationReport) {
+	t.Helper()
+	sum, serr := core.Allocate(s, split)
+	rec, rerr := core.AllocateWithOptions(s, core.AllocOptions{AllowSplit: split})
+	if fmt.Sprint(serr) != fmt.Sprint(rerr) {
+		t.Fatalf("%s: summary error %v, recording error %v", name, serr, rerr)
+	}
+	if sum.Events != nil {
+		t.Fatalf("%s: summary keeps %d events", name, len(sum.Events))
+	}
+	if serr != nil {
+		return sum, nil
+	}
+	if !maps.Equal(sum.PeakUsed, rec.PeakUsed) || sum.Splits != rec.Splits || sum.Regular != rec.Regular ||
+		!slices.Equal(sum.IrregularObjects, rec.IrregularObjects) {
+		t.Fatalf("%s: summary %v/%d/%v/%v, recording %v/%d/%v/%v", name,
+			sum.PeakUsed, sum.Splits, sum.Regular, sum.IrregularObjects,
+			rec.PeakUsed, rec.Splits, rec.Regular, rec.IrregularObjects)
+	}
+	return sum, rec
+}
+
+// mpegCDS returns the MPEG CDS schedule (RF 2: fifteen blocks of two
+// iterations) with a copy of its visit list, to be edited by hand.
+func mpegCDS(t *testing.T) *core.Schedule {
+	t.Helper()
+	e := workloads.MPEG()
+	s, err := (core.CompleteDataScheduler{}).Schedule(e.Arch, e.Part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.RF != 2 || len(s.Visits) != 15*len(s.Info.Clusters) {
+		t.Fatalf("MPEG CDS: RF %d, %d visits; want RF 2 and 15 blocks", s.RF, len(s.Visits))
+	}
+	r := *s
+	r.Visits = slices.Clone(s.Visits)
+	return &r
+}
+
+// TestSummaryStopsAtThePeriod: the stock MPEG CDS replay repeats from
+// block 1, and 30 iterations leave no shorter tail block, so the summary
+// walks blocks 0 and 1 only.
+func TestSummaryStopsAtThePeriod(t *testing.T) {
+	sum, rec := compareReplays(t, "MPEG/cds", mpegCDS(t), true)
+	if got := core.ReplayedBlocks(sum); got != 2 {
+		t.Errorf("summary replayed %d blocks, want 2", got)
+	}
+	if got := core.ReplayedBlocks(rec); got != 15 {
+		t.Errorf("recording replayed %d blocks, want 15", got)
+	}
+}
+
+// TestSummaryWithoutAPeriod: when every block runs a different number of
+// iterations from the one before, the addresses move from block to block
+// and the summary walks every block.
+func TestSummaryWithoutAPeriod(t *testing.T) {
+	s := mpegCDS(t)
+	for i := range s.Visits {
+		s.Visits[i].Iters = 1 + s.Visits[i].Block%2
+	}
+	sum, rec := compareReplays(t, "MPEG/cds/alternating", s, true)
+	if rec.Regular {
+		t.Error("alternating blocks kept every address; want moves")
+	}
+	if got := core.ReplayedBlocks(sum); got != 15 {
+		t.Errorf("summary replayed %d blocks, want all 15", got)
+	}
+}
+
+// TestSummaryTailBlockFails: a tail block too large for the Frame Buffer
+// fails the summary as it fails the recording, naming the tail block,
+// although the blocks before it repeat and are skipped.
+func TestSummaryTailBlockFails(t *testing.T) {
+	s := mpegCDS(t)
+	for i := range s.Visits {
+		if s.Visits[i].Block == 14 {
+			s.Visits[i].Iters = 8
+		}
+	}
+	for _, split := range []bool{true, false} {
+		sum, rec := compareReplays(t, fmt.Sprintf("MPEG/cds/tail/split=%v", split), s, split)
+		if rec != nil {
+			t.Fatalf("split=%v: an 8-iteration tail block fits; want a failure", split)
+		}
+		_, err := core.Allocate(s, split)
+		if !strings.Contains(err.Error(), "block 14") {
+			t.Errorf("split=%v: %v; want the tail block named", split, err)
+		}
+		if got := core.ReplayedBlocks(sum); got != 3 {
+			t.Errorf("split=%v: summary replayed %d blocks, want 3", split, got)
+		}
+	}
+}
+
+// TestSummaryCountsSkippedSplits: with the Frame Buffer shrunk until the
+// replay splits in every block, the summary adds each skipped block's
+// splits and matches the recording's count.
+func TestSummaryCountsSkippedSplits(t *testing.T) {
+	s := mpegCDS(t)
+	for fb := s.Arch.FBSetBytes; fb > s.Arch.FBSetBytes/2; fb -= 16 {
+		s.Arch.FBSetBytes = fb
+		rec, err := core.AllocateWithOptions(s, core.AllocOptions{AllowSplit: true})
+		if err != nil || rec.Splits < 15 {
+			continue
+		}
+		perBlock := map[int]int{}
+		for _, ev := range rec.Events {
+			if ev.Op == core.OpAlloc && ev.Split {
+				perBlock[ev.Block]++
+			}
+		}
+		if len(perBlock) != 15 {
+			continue
+		}
+		sum, _ := compareReplays(t, fmt.Sprintf("MPEG/cds/fb=%d", fb), s, true)
+		if got := core.ReplayedBlocks(sum); got >= 15 {
+			t.Errorf("FB %d: summary replayed %d blocks; want the repeats skipped", fb, got)
+		}
+		t.Logf("FB %d: %d splits, %d blocks replayed", fb, sum.Splits, core.ReplayedBlocks(sum))
+		return
+	}
+	t.Fatal("no FB size splits MPEG CDS in every block")
 }
 
 // TestSummaryIsNotAnEventLog: a summary report's nil Events is not an
@@ -124,7 +249,7 @@ func TestSummaryIsNotAnEventLog(t *testing.T) {
 // lists: writing into one visit's Loads, or appending to them, changes no
 // other visit's lists.
 func TestVisitListsFollowBlockZero(t *testing.T) {
-	keys, scheds := corpusSchedules(t)
+	keys, scheds := corpusSchedules(t, 200)
 	for _, key := range keys {
 		s := scheds[key]
 		a := s.P.App
