@@ -3,8 +3,8 @@
 //  1. Intra-kernel data management: tiling a kernel's private data into
 //     streamed slices shrinks the footprint and raises the reuse factor.
 //  2. Cross-FB-set reuse: retention across clusters on different sets.
-//  3. A joint RF/retention sweep as an alternative to the paper's
-//     take-the-max RF policy.
+//  3. A joint RF/retention choice (the RF guard scored by DMA cost) as an
+//     alternative to the paper's take-the-max RF policy.
 //
 // Every variant is also executed FUNCTIONALLY to show the optimizations
 // preserve the computed outputs byte for byte.
@@ -64,8 +64,8 @@ func main() {
 	// sets; paper-mode retention cannot keep it.
 	report("  + cross-set reuse", pa, tiled, core.CompleteDataScheduler{CrossSetReuse: true})
 
-	// 3. Joint RF/retention sweep.
-	report("  + RF sweep", pa, tiled, core.CompleteDataScheduler{CrossSetReuse: true, RF: core.RFSweep})
+	// 3. Joint RF/retention choice by DMA cost.
+	report("  + RF by DMA cost", pa, tiled, core.CompleteDataScheduler{CrossSetReuse: true, Eval: core.DMACost})
 
 	// Functional equivalence: on the tiled application, the fully
 	// extended scheduler computes the same outputs as the plain one.
@@ -76,7 +76,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sBest, err := (core.CompleteDataScheduler{CrossSetReuse: true, RF: core.RFSweep}).Schedule(pa, tiled)
+	sBest, err := (core.CompleteDataScheduler{CrossSetReuse: true, Eval: core.DMACost}).Schedule(pa, tiled)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -157,6 +157,45 @@ func TestGuardDemandIsALowerBound(t *testing.T) {
 	}
 }
 
+// TestDMACostGuardPicksCheapestRF: scored by DMACost, the guard returns
+// the lowest DMA cost among every feasible RF's candidate, and of the
+// candidates that tie on it the highest RF, the paper's preference. Ties
+// occur. On GenSpec(1, 75), (1, 268), (1, 303) and (1, 417), CDS with
+// cross-set reuse off and on, the cheapest cost is below RF-max's and a
+// lower RF shares it, so a rule keeping the lowest tied RF would pick a
+// different schedule at the same cost.
+func TestDMACostGuardPicksCheapestRF(t *testing.T) {
+	ties := 0
+	for _, gc := range guardCorpus(t) {
+		cands := guardCandidates(t, gc, core.DMACost)
+		if cands == nil {
+			continue
+		}
+		want := cands[0] // RF-max first, so the first cheapest is the highest RF
+		for _, c := range cands[1:] {
+			if c.Demand < want.Demand {
+				want = c
+			}
+		}
+		for _, c := range cands {
+			if c.RF < want.RF && c.Demand == want.Demand {
+				ties++
+				break
+			}
+		}
+		got, err := gc.sched(core.DMACost).Schedule(gc.arch, gc.part)
+		if err != nil {
+			t.Fatalf("%s: %v", gc.name, err)
+		}
+		if cost, _ := core.DMACost(got); got.RF != want.RF || cost != want.Demand {
+			t.Fatalf("%s: guard picks RF %d at DMA cost %d, want RF %d at %d", gc.name, got.RF, cost, want.RF, want.Demand)
+		}
+	}
+	if ties == 0 {
+		t.Error("no corpus input has a lower RF tying the cheapest; the tie rule goes unchecked")
+	}
+}
+
 // TestGuardKeepsATightCandidate: a candidate whose time equals its DMA
 // demand and beats the best so far by one cycle is scored and kept. The
 // evaluator makes each lower RF cost exactly its demand, and RF-max one

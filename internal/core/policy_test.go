@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -9,33 +8,15 @@ import (
 	"cds/internal/app"
 )
 
-func TestRFSweepNeverWorseInDMACost(t *testing.T) {
-	part := pipeApp(t, 8)
-	for _, fb := range []int{360, 512, 1024, 2048} {
-		mx, err := (CompleteDataScheduler{}).Schedule(testArch(fb), part)
-		if err != nil {
-			t.Fatalf("FB=%d: %v", fb, err)
-		}
-		sw, err := (CompleteDataScheduler{RF: RFSweep}).Schedule(testArch(fb), part)
-		if err != nil {
-			t.Fatalf("FB=%d: %v", fb, err)
-		}
-		if dmaCost(sw) > dmaCost(mx) {
-			t.Errorf("FB=%d: sweep DMA cost %d exceeds max-policy %d", fb, dmaCost(sw), dmaCost(mx))
-		}
-		if sw.RF > mx.RF {
-			t.Errorf("FB=%d: sweep RF %d above the feasible max %d", fb, sw.RF, mx.RF)
-		}
-	}
-}
-
-func TestRFSweepCanPreferLowerRF(t *testing.T) {
+// TestDMACostGuardCanPreferLowerRF: scored by DMACost, the RF guard trades
+// context reuse for retention when the retention saves more traffic.
+func TestDMACostGuardCanPreferLowerRF(t *testing.T) {
 	// Clusters 0 and 4 (set 0) share a 400-byte table; cluster 2 sits
 	// between them with a 300-byte private input. At the maximum RF=2
 	// the pinned table does not fit past the pass-through cluster
 	// (2 * (380+400) > 1400), so the paper's policy drops retention. At
 	// RF=1 retention fits. With a huge CM the RF buys no context
-	// savings, so the sweep should trade RF down for the retention.
+	// savings, so the guard should trade RF down for the retention.
 	b := app.NewBuilder("rf-vs-ret", 8).
 		Datum("tbl", 400).
 		Datum("in0", 100).
@@ -58,7 +39,7 @@ func TestRFSweepCanPreferLowerRF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := (CompleteDataScheduler{RF: RFSweep}).Schedule(pa, part)
+	lo, err := (CompleteDataScheduler{Eval: DMACost}).Schedule(pa, part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,47 +47,33 @@ func TestRFSweepCanPreferLowerRF(t *testing.T) {
 		t.Fatalf("max policy: RF=%d retained=%d, want RF=2 with no retention (rebalance the test)",
 			mx.RF, len(mx.Retained))
 	}
-	if sw.RF != 1 || len(sw.Retained) != 1 {
-		t.Fatalf("sweep: RF=%d retained=%d, want RF=1 with the table retained", sw.RF, len(sw.Retained))
+	if lo.RF != 1 || len(lo.Retained) != 1 {
+		t.Fatalf("DMA-cost guard: RF=%d retained=%d, want RF=1 with the table retained", lo.RF, len(lo.Retained))
 	}
-	if dmaCost(sw) >= dmaCost(mx) {
-		t.Errorf("sweep cost %d >= max cost %d: the trade did not pay", dmaCost(sw), dmaCost(mx))
+	loCost, _ := DMACost(lo)
+	mxCost, _ := DMACost(mx)
+	if loCost >= mxCost {
+		t.Errorf("DMA-cost guard cost %d >= max cost %d: the trade did not pay", loCost, mxCost)
 	}
 }
 
 func fmtOut(c int) string { return "out" + string(rune('0'+c)) }
 
-// TestRFSweepPropagatesErrors pins the sweep's error contract: only the
-// expected infeasible-RF outcome is skipped; genuine failures (here:
-// invalid architecture parameters) surface instead of being silently
-// papered over by the base schedule.
-func TestRFSweepPropagatesErrors(t *testing.T) {
+// TestDMACostGuardPropagatesErrors pins the guarded scheduler's error
+// contract: invalid architecture parameters and an infeasible partition
+// surface as errors, the latter as an InfeasibleError.
+func TestDMACostGuardPropagatesErrors(t *testing.T) {
 	part := pipeApp(t, 8)
 	bad := testArch(1024)
 	bad.FBSetBytes = -1
-	if _, err := (CompleteDataScheduler{RF: RFSweep}).Schedule(bad, part); err == nil {
-		t.Error("sweep with invalid arch params succeeded")
+	if _, err := (CompleteDataScheduler{Eval: DMACost}).Schedule(bad, part); err == nil {
+		t.Error("DMA-cost guard with invalid arch params succeeded")
 	}
-	// An infeasible partition is an InfeasibleError, not a swallow.
 	tiny := testArch(64)
-	_, err := (CompleteDataScheduler{RF: RFSweep}).Schedule(tiny, part)
+	_, err := (CompleteDataScheduler{Eval: DMACost}).Schedule(tiny, part)
 	var ie *InfeasibleError
 	if !errors.As(err, &ie) {
-		t.Errorf("sweep on a too-small FB: err = %v, want InfeasibleError", err)
-	}
-}
-
-func TestForcedRFValidation(t *testing.T) {
-	part := pipeApp(t, 4)
-	_, err := schedule(context.Background(), "cds", testArch(360), part, scheduleOpts{
-		rfEnabled:      true,
-		inPlaceRelease: true,
-		retention:      true,
-		ranking:        RankTF,
-		forcedRF:       99,
-	})
-	if err == nil {
-		t.Error("forced RF beyond the feasible maximum accepted")
+		t.Errorf("DMA-cost guard on a too-small FB: err = %v, want InfeasibleError", err)
 	}
 }
 
@@ -139,12 +106,6 @@ func TestAllocateOneSided(t *testing.T) {
 		if peak > 512 {
 			t.Errorf("set %d peak %d over FB", set, peak)
 		}
-	}
-}
-
-func TestRFPolicyString(t *testing.T) {
-	if RFMax.String() != "max" || RFSweep.String() != "sweep" {
-		t.Error("RFPolicy names broken")
 	}
 }
 

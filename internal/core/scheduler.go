@@ -7,7 +7,6 @@ import (
 
 	"cds/internal/app"
 	"cds/internal/arch"
-	"cds/internal/conc"
 	"cds/internal/extract"
 	"cds/internal/scherr"
 )
@@ -99,27 +98,6 @@ func (d DataScheduler) opts() scheduleOpts {
 	}
 }
 
-// RFPolicy selects how the Complete Data Scheduler picks the reuse factor.
-type RFPolicy int
-
-const (
-	// RFMax is the paper's policy: take the highest common RF the FB
-	// permits, then spend whatever space remains on retention.
-	RFMax RFPolicy = iota
-	// RFSweep jointly optimizes RF and retention: every feasible RF is
-	// tried with its own retention selection and the variant with the
-	// lowest estimated DMA time wins. Exists for the common-RF ablation;
-	// the sweep can trade context reuse for more retention.
-	RFSweep
-)
-
-func (p RFPolicy) String() string {
-	if p == RFSweep {
-		return "sweep"
-	}
-	return "max"
-}
-
 // CompleteDataScheduler is the paper's contribution: the Data Scheduler
 // plus TF-ranked retention of inter-cluster shared data and results.
 type CompleteDataScheduler struct {
@@ -131,13 +109,10 @@ type CompleteDataScheduler struct {
 	// retention candidates (the architecture is assumed to let the RC
 	// array read both sets). Off by default, matching the paper.
 	CrossSetReuse bool
-	// RF selects the reuse-factor policy (the paper's RFMax by default).
-	RF RFPolicy
 	// Eval, when non-nil, guards the RF choice with a timing model —
 	// see the note on DataScheduler. As there, it scores only the
 	// candidates their DMA demand does not rule out, and must never
-	// return less than a schedule's DMA demand. Ignored under RFSweep,
-	// which runs its own joint RF/retention sweep.
+	// return less than a schedule's DMA demand.
 	Eval TimingEvaluator
 }
 
@@ -151,54 +126,7 @@ func (c CompleteDataScheduler) Schedule(pa arch.Params, part *app.Partition) (*S
 
 // ScheduleCtx implements Scheduler.
 func (c CompleteDataScheduler) ScheduleCtx(ctx context.Context, pa arch.Params, part *app.Partition) (*Schedule, error) {
-	opts := c.opts()
-	if c.RF != RFSweep {
-		return schedule(ctx, "cds", pa, part, opts)
-	}
-	// Sweep: build one schedule per feasible RF and keep the one with
-	// the lowest serialized DMA time (a lower bound on execution time
-	// that orders schedules the same way when compute is fixed).
-	base, err := schedule(ctx, "cds", pa, part, opts)
-	if err != nil {
-		return nil, err
-	}
-	// The candidates are independent, so build them across a bounded
-	// worker pool; they share the base schedule's memoized analysis.
-	// Results land in rf order, keeping the winner selection below
-	// identical to the serial loop's. The pool inherits ctx: a canceled
-	// sweep stops claiming RFs and reports scherr.ErrCanceled.
-	cands := make([]*Schedule, base.RF-1)
-	err = conc.ForEach(ctx, conc.DefaultLimit(), len(cands), func(i int) error {
-		opts := opts
-		opts.forcedRF = i + 1
-		cand, err := schedule(ctx, "cds", pa, part, opts)
-		if err != nil {
-			// An RF the footprint model rejects is an expected sweep
-			// outcome, recognized by TYPE via the taxonomy; anything
-			// else (bad arch params, invalid partition, cancellation)
-			// is a genuine failure that must surface instead of
-			// silently falling back to the base schedule.
-			if errors.Is(err, scherr.ErrInfeasible) {
-				return nil
-			}
-			return fmt.Errorf("core: rf sweep at RF=%d: %w", i+1, err)
-		}
-		cands[i] = cand
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	best, bestCost := base, dmaCost(base)
-	for _, cand := range cands {
-		if cand == nil {
-			continue // infeasible RF, skipped above
-		}
-		if cost := dmaCost(cand); cost < bestCost {
-			best, bestCost = cand, cost
-		}
-	}
-	return best, nil
+	return schedule(ctx, "cds", pa, part, c.opts())
 }
 
 func (c CompleteDataScheduler) opts() scheduleOpts {
@@ -206,29 +134,29 @@ func (c CompleteDataScheduler) opts() scheduleOpts {
 	if ranking == nil {
 		ranking = RankTF
 	}
-	opts := scheduleOpts{
+	return scheduleOpts{
 		rfEnabled:      true,
 		inPlaceRelease: true,
 		retention:      true,
 		ranking:        ranking,
 		crossSet:       c.CrossSetReuse,
+		evaluate:       c.Eval,
 	}
-	if c.RF != RFSweep {
-		opts.evaluate = c.Eval
-	}
-	return opts
 }
 
-// dmaCost is a schedule's DMA channel demand in cycles: the context cycles
-// of all its context words plus the data cycles of every load and store.
-// The one channel carries every transfer, so no timing model runs the
-// schedule faster.
-func dmaCost(s *Schedule) int {
+// DMACost is the TimingEvaluator that scores a schedule by its DMA
+// channel demand in cycles: the context cycles of all its context words
+// plus the data cycles of every load and store. The one channel carries
+// every transfer, so no timing model runs the schedule faster. As the
+// Eval of a CompleteDataScheduler it picks the RF, and the retention
+// selected at that RF, with the least DMA traffic (the common-RF
+// ablation); it never fails.
+func DMACost(s *Schedule) (int, error) {
 	cost := s.Arch.ContextCycles(s.TotalCtxWords())
 	for _, v := range s.Visits {
 		cost += dataCycles(s.Arch, v.Loads) + dataCycles(s.Arch, v.Stores)
 	}
-	return cost
+	return cost, nil
 }
 
 // dataCycles returns the DMA cycles of the movements, each one transfer.
@@ -250,8 +178,6 @@ type scheduleOpts struct {
 	perKernelLoads bool
 	// crossSet enables cross-FB-set retention (future-work extension).
 	crossSet bool
-	// forcedRF overrides the reuse factor when > 0 (RF sweep).
-	forcedRF int
 	ranking  RankFunc
 	// evaluate, when non-nil, guards the RF choice with a timing model
 	// (see DataScheduler.Eval).
@@ -270,7 +196,7 @@ func schedule(ctx context.Context, name string, pa arch.Params, part *app.Partit
 	if err != nil {
 		return nil, err
 	}
-	if opts.evaluate == nil || opts.forcedRF > 0 || rf <= 1 {
+	if opts.evaluate == nil || rf <= 1 {
 		return s, nil
 	}
 	// RF guard: more context reuse always cuts DMA traffic, but a higher
@@ -330,8 +256,7 @@ type planner struct {
 }
 
 // plan validates the inputs, analyzes the partition, checks that one
-// iteration fits and returns the planner with the highest feasible RF
-// (the forced one under an RF sweep).
+// iteration fits and returns the planner with the highest feasible RF.
 func plan(ctx context.Context, name string, pa arch.Params, part *app.Partition, opts scheduleOpts) (*planner, int, error) {
 	if err := scherr.FromContext(ctx); err != nil {
 		return nil, 0, fmt.Errorf("core: %s scheduler: %w", name, err)
@@ -343,7 +268,7 @@ func plan(ctx context.Context, name string, pa arch.Params, part *app.Partition,
 		return nil, 0, err
 	}
 	// The analysis depends only on (partition, cross-set flag), so all
-	// three schedulers, every RF-sweep variant and every FB-sweep point
+	// three schedulers, every RF guard candidate and every FB-sweep point
 	// share one memoized Info; it is immutable from here on.
 	info := extract.AnalyzeCached(part, extract.Opts{CrossSetReuse: opts.crossSet})
 
@@ -356,12 +281,6 @@ func plan(ctx context.Context, name string, pa arch.Params, part *app.Partition,
 	rf := 1
 	if opts.rfEnabled {
 		rf = CommonRF(pa.FBSetBytes, info, opts.inPlaceRelease, nil)
-	}
-	if opts.forcedRF > 0 {
-		if opts.forcedRF > rf {
-			return nil, 0, fmt.Errorf("core: forced RF %d exceeds the feasible maximum %d", opts.forcedRF, rf)
-		}
-		rf = opts.forcedRF
 	}
 	groupOf, groups := info.P.App.CtxGroups()
 	cm := arch.NewContextMemory(pa.CMWords, len(groups), func(g int) string { return groups[g] })
@@ -412,7 +331,7 @@ func (p *planner) build(c *candidate) (*Schedule, error) {
 	return s, nil
 }
 
-// demand returns the DMA demand (dmaCost) of the schedule build would
+// demand returns the DMA demand (DMACost) of the schedule build would
 // make, without making it.
 func (p *planner) demand(c *candidate) (int, error) {
 	cost, err := p.walk(c, nil)
@@ -501,7 +420,7 @@ func appendScaled(moves, list []Movement, from, to int) []Movement {
 }
 
 // walk is the one (block, cluster) walk over a candidate's transfers. It
-// returns their DMA demand, which is dmaCost of the schedule they make:
+// returns their DMA demand, which is DMACost of the schedule they make:
 // the context cycles of every word the Context Memory replay loads plus
 // the data cycles of every load and store. With s non-nil it also fills
 // s.Visits, one visit per (block, cluster) in execution order. With s nil

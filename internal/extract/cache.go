@@ -1,7 +1,7 @@
 package extract
 
 // The analysis cache memoizes AnalyzeWithOpts results so the three
-// schedulers, every RF-sweep variant and every point of a frame-buffer
+// schedulers, every RF guard candidate and every point of a frame-buffer
 // sweep share ONE Info per (partition, Opts) pair instead of re-deriving
 // it. An Info is immutable after Analyze returns — nothing in this module
 // writes to it — which is what makes sharing it across goroutines safe;

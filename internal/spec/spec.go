@@ -182,6 +182,67 @@ func (sp *Spec) Validate() error {
 			return invalid("arch.cmWords", "must not be negative, got %d", sp.Arch.CMWords)
 		}
 	}
+	return sp.checkCycleBound(fbSet, dataNames)
+}
+
+// maxCycles bounds every cycle count a valid spec lets the model form. At
+// 2^53 each count stays exact as a float64, which the improvement
+// percentages and JSON readers use, and the int sums the schedulers and
+// the simulator take have 2^10 of headroom before they could wrap.
+const maxCycles = 1 << 53
+
+// checkCycleBound rejects a spec whose largest cycle count could pass
+// maxCycles. That count is the iterations times one iteration's worst
+// case: every kernel computes, reloads all its contexts in one transfer
+// and moves each of its inputs and outputs in a transfer of its own. No
+// scheduler does more (Basic, which does the most, reloads every context
+// and loads every external input once per kernel), and a transfer of n
+// bytes or context bytes never takes more than the DMA set-up plus n
+// cycles. The Frame Buffer set and the Context Memory bound their own
+// transfers too. Each step is checked before it is taken, so nothing
+// here wraps either; the error names the field whose term passes the
+// bound first.
+func (sp *Spec) checkCycleBound(fbSet int, dataNames map[string]int) error {
+	pa := arch.M1()
+	cm := pa.CMWords
+	if sp.Arch != nil && sp.Arch.CMWords > 0 {
+		cm = sp.Arch.CMWords
+	}
+	setup := pa.DMASetupCycles
+	if fbSet > maxCycles-setup {
+		return invalid("arch.fbSetBytes", "%d bytes is over the %d-cycle bound on one transfer", fbSet, maxCycles)
+	}
+	if cm > (maxCycles-setup)/pa.CtxWordBytes {
+		return invalid("arch.cmWords", "%d words is over the %d-cycle bound on one transfer", cm, maxCycles)
+	}
+	// per is one iteration's cycles so far; add adds n*scale to it.
+	per := 0
+	add := func(n, scale int) bool {
+		if n > (maxCycles-per)/scale {
+			return false
+		}
+		per += n * scale
+		return true
+	}
+	for i, k := range sp.Kernels {
+		if !add(k.ComputeCycles, 1) {
+			return invalid(elem("kernels", i)+".computeCycles", "%d cycles takes one iteration over %d cycles", k.ComputeCycles, maxCycles)
+		}
+		if !add(setup, 1) || !add(k.ContextWords, pa.CtxWordBytes) {
+			return invalid(elem("kernels", i)+".contextWords", "%d words takes one iteration over %d cycles", k.ContextWords, maxCycles)
+		}
+		for _, names := range [][]string{k.Inputs, k.Outputs} {
+			for _, name := range names {
+				d := dataNames[name]
+				if !add(setup, 1) || !add(sp.Data[d].Size, 1) {
+					return invalid(elem("data", d)+".size", "%d bytes takes one iteration over %d cycles", sp.Data[d].Size, maxCycles)
+				}
+			}
+		}
+	}
+	if sp.Iterations > maxCycles/per {
+		return invalid("iterations", "%d iterations of up to %d cycles each pass %d cycles", sp.Iterations, per, maxCycles)
+	}
 	return nil
 }
 

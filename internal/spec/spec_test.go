@@ -2,6 +2,7 @@ package spec_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -151,6 +152,66 @@ func TestSemanticErrorsStayTyped(t *testing.T) {
 	}
 	if !errors.Is(err, scherr.ErrInvalidSpec) {
 		t.Errorf("semantic rejection %q lost the ErrInvalidSpec class", err)
+	}
+}
+
+// cycleSpec is a one-kernel spec with the given iterations and compute
+// cycles per iteration: one 4-byte input, one context word, M1 DMA.
+func cycleSpec(iterations, computeCycles int) string {
+	return fmt.Sprintf(`{"name":"c","iterations":%d,
+	  "data":[{"name":"d","size":4}],
+	  "kernels":[{"name":"k","contextWords":1,"computeCycles":%d,"inputs":["d"]}],
+	  "clusters":[1]}`, iterations, computeCycles)
+}
+
+// TestParseRejectsCycleOverflow: a spec whose cycle counts could wrap is
+// an invalid spec, named by the field that passes the bound. Compute
+// cycles of 2^60 and 2^62 over 8 iterations once parsed, and the Basic
+// schedule's cycle count wrapped. One iteration of cycleSpec(n, 2^20-16)
+// costs at most 2^20 cycles, so 2^33 iterations meet the 2^53 bound
+// exactly and one more passes it.
+func TestParseRejectsCycleOverflow(t *testing.T) {
+	tests := []struct {
+		name, raw, wantPath string
+	}{
+		{"compute 2^60", cycleSpec(8, 1<<60), "kernels[0].computeCycles"},
+		{"compute 2^62", cycleSpec(8, 1<<62), "kernels[0].computeCycles"},
+		{"iterations", cycleSpec(1<<33+1, 1<<20-16), "iterations"},
+		{"context words", strings.Replace(cycleSpec(8, 1), `"contextWords":1`, `"contextWords":4611686018427387904`, 1),
+			"kernels[0].contextWords"},
+		{"datum size", strings.Replace(strings.Replace(goodSpec, `"fbSetBytes": 2048`, `"fbSetBytes": 4503599627370496`, 1),
+			`{"name": "mid", "size": 40}`, `{"name": "mid", "size": 4503599627370496}`, 1), "data[2].size"},
+		{"fb set", strings.Replace(goodSpec, `"fbSetBytes": 2048`, `"fbSetBytes": 4611686018427387904`, 1), "arch.fbSetBytes"},
+		{"cm words", strings.Replace(goodSpec, `"cmWords": 256`, `"cmWords": 4611686018427387904`, 1), "arch.cmWords"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			_, _, err := spec.Parse([]byte(tt.raw))
+			if !errors.Is(err, scherr.ErrInvalidSpec) {
+				t.Fatalf("err = %v, want scherr.ErrInvalidSpec", err)
+			}
+			if !strings.Contains(err.Error(), "spec: "+scherr.ErrInvalidSpec.Error()+": "+tt.wantPath+":") {
+				t.Errorf("error %q does not name %s", err, tt.wantPath)
+			}
+		})
+	}
+	if _, _, err := spec.Parse([]byte(cycleSpec(1<<33, 1<<20-16))); err != nil {
+		t.Errorf("a spec exactly at the cycle bound was rejected: %v", err)
+	}
+}
+
+// TestValidateAcceptsCorpus: the cycle bound leaves every generated and
+// regression spec valid.
+func TestValidateAcceptsCorpus(t *testing.T) {
+	for i := 0; i < 544; i++ {
+		if err := workloads.GenSpec(1, i).Validate(); err != nil {
+			t.Errorf("GenSpec(1, %d): %v", i, err)
+		}
+	}
+	for _, sp := range workloads.Regressions() {
+		if err := sp.Validate(); err != nil {
+			t.Errorf("%s: %v", sp.Name, err)
+		}
 	}
 }
 

@@ -46,7 +46,7 @@ func FuzzVerifySchedule(f *testing.F) {
 			core.Basic{},
 			core.DataScheduler{},
 			core.CompleteDataScheduler{},
-			core.CompleteDataScheduler{RF: core.RFSweep},
+			core.CompleteDataScheduler{Eval: core.DMACost},
 		}
 		sched := scheds[int(which)%len(scheds)]
 		s, err := sched.Schedule(pa, part)

@@ -14,7 +14,7 @@ var allSchedulers = []core.Scheduler{
 	core.Basic{},
 	core.DataScheduler{},
 	core.CompleteDataScheduler{},
-	core.CompleteDataScheduler{RF: core.RFSweep},
+	core.CompleteDataScheduler{Eval: core.DMACost},
 }
 
 // TestSeedWorkloadsVerifyClean is the headline acceptance check: every

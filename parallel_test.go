@@ -107,10 +107,10 @@ func TestCompareAllBasicInfeasibleParallel(t *testing.T) {
 	}
 }
 
-// TestScheduleConcurrentRFSweep exercises the parallel RF sweep from
-// concurrent callers on a shared partition (race coverage for the
-// nested fan-out: CompareAll-level callers over a sweeping scheduler).
-func TestScheduleConcurrentRFSweep(t *testing.T) {
+// TestScheduleConcurrentRFGuard runs the RF guard from concurrent callers
+// on one shared partition (race coverage for the memoized analysis every
+// guard candidate reads).
+func TestScheduleConcurrentRFGuard(t *testing.T) {
 	e := workloads.MPEG()
 	var wg sync.WaitGroup
 	rfs := make([]int, 6)
@@ -118,7 +118,7 @@ func TestScheduleConcurrentRFSweep(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			s, err := (core.CompleteDataScheduler{RF: core.RFSweep}).Schedule(e.Arch, e.Part)
+			s, err := (core.CompleteDataScheduler{Eval: core.DMACost}).Schedule(e.Arch, e.Part)
 			if err != nil {
 				t.Error(err)
 				return
@@ -129,7 +129,7 @@ func TestScheduleConcurrentRFSweep(t *testing.T) {
 	wg.Wait()
 	for g := 1; g < len(rfs); g++ {
 		if rfs[g] != rfs[0] {
-			t.Fatalf("concurrent sweeps settled on different RFs: %v", rfs)
+			t.Fatalf("concurrent guards settled on different RFs: %v", rfs)
 		}
 	}
 }
