@@ -94,26 +94,38 @@ func (k SchedulerKind) String() string {
 	return fmt.Sprintf("scheduler(%d)", int(k))
 }
 
-func (k SchedulerKind) scheduler() (core.Scheduler, error) {
+// scheduler returns the policy of kind, its RF guard scored by g.
+func (k SchedulerKind) scheduler(g *guardTiming) (core.Scheduler, error) {
 	switch k {
 	case Basic:
 		return core.Basic{}, nil
 	case DS:
-		return core.DataScheduler{Eval: simCycles}, nil
+		return core.DataScheduler{Eval: g.eval}, nil
 	case CDS:
-		return core.CompleteDataScheduler{Eval: simCycles}, nil
+		return core.CompleteDataScheduler{Eval: g.eval}, nil
 	}
 	return nil, fmt.Errorf("cds: unknown scheduler kind %d", int(k))
 }
 
-// simCycles is the timing evaluator wired into the data schedulers' RF
+// guardTiming is one run's timing evaluator for the data schedulers' RF
 // guard: candidate reuse factors are scored by the event-driven simulator
 // so the chosen schedule is fastest under the machine model, not merely
-// lightest on DMA traffic (core cannot import internal/sim itself).
-func simCycles(s *core.Schedule) (int, error) {
+// lightest on DMA traffic (core cannot import internal/sim itself). It
+// keeps the simulation of the fastest candidate, first on ties as the
+// guard does, so the run reuses the timing of the schedule the guard
+// returns instead of simulating it again.
+type guardTiming struct {
+	s   *core.Schedule
+	res *sim.Result
+}
+
+func (g *guardTiming) eval(s *core.Schedule) (int, error) {
 	r, err := sim.Run(s)
 	if err != nil {
 		return 0, err
+	}
+	if g.res == nil || r.TotalCycles < g.res.TotalCycles {
+		g.s, g.res = s, r
 	}
 	return r.TotalCycles, nil
 }
@@ -141,17 +153,19 @@ func Run(kind SchedulerKind, pa Arch, part *Part) (*Result, error) {
 // scherr.ErrCanceled. Failures are classified by the scherr taxonomy
 // (errors.Is against ErrInfeasible, ErrCapacity, ErrCanceled, ...).
 func RunCtx(ctx context.Context, kind SchedulerKind, pa Arch, part *Part) (*Result, error) {
-	sched, err := kind.scheduler()
+	g := &guardTiming{}
+	sched, err := kind.scheduler(g)
 	if err != nil {
 		return nil, err
 	}
-	return run(ctx, sched, pa, part)
+	return run(ctx, sched, g, pa, part)
 }
 
 // run is the one schedule → allocate → simulate pipeline, under an
 // explicit scheduler (the fault-injection seam in compareAll passes a
-// substitute one).
-func run(ctx context.Context, sched core.Scheduler, pa Arch, part *Part) (*Result, error) {
+// substitute one). When g scored the schedule in the RF guard, its
+// simulation is the run's timing.
+func run(ctx context.Context, sched core.Scheduler, g *guardTiming, pa Arch, part *Part) (*Result, error) {
 	s, err := sched.ScheduleCtx(ctx, pa, part)
 	if err != nil {
 		return nil, err
@@ -163,9 +177,11 @@ func run(ctx context.Context, sched core.Scheduler, pa Arch, part *Part) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	timing, err := sim.Run(s)
-	if err != nil {
-		return nil, err
+	timing := g.res
+	if g.s != s {
+		if timing, err = sim.Run(s); err != nil {
+			return nil, err
+		}
 	}
 	return &Result{Schedule: s, Timing: timing, Allocation: alloc}, nil
 }
@@ -288,7 +304,8 @@ func compareAll(ctx context.Context, pa Arch, part *Part, override func(Schedule
 	// contained per job by conc.Safe.
 	ferr := conc.ForEach(ctx, conc.DefaultLimit(), len(kinds), func(i int) error {
 		errs[i] = conc.Safe(func() error {
-			sched, err := kinds[i].scheduler()
+			g := &guardTiming{}
+			sched, err := kinds[i].scheduler(g)
 			if err != nil {
 				return err
 			}
@@ -297,7 +314,7 @@ func compareAll(ctx context.Context, pa Arch, part *Part, override func(Schedule
 					sched = o
 				}
 			}
-			r, err := run(ctx, sched, pa, part)
+			r, err := run(ctx, sched, g, pa, part)
 			if err != nil {
 				return err
 			}

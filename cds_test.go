@@ -132,8 +132,8 @@ func TestScheduleAllocs(t *testing.T) {
 		sched core.Scheduler
 		max   float64
 	}{
-		{core.DataScheduler{Eval: simCycles}, 13},
-		{core.CompleteDataScheduler{Eval: simCycles}, 35},
+		{core.DataScheduler{Eval: new(guardTiming).eval}, 13},
+		{core.CompleteDataScheduler{Eval: new(guardTiming).eval}, 35},
 	} {
 		run := func() {
 			if _, err := c.sched.ScheduleCtx(context.Background(), e.Arch, e.Part); err != nil {

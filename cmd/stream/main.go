@@ -152,7 +152,7 @@ func run(ctx context.Context, logPath string, gen int64, index int, format, out 
 			At:          s.At,
 			Fingerprint: fmt.Sprintf("%x", s.Fingerprint[:6]),
 			RF:          s.RF,
-			Visits:      len(s.Schedule.Visits),
+			Visits:      s.Schedule.NumVisits(),
 		})
 	}
 
@@ -173,7 +173,7 @@ func run(ctx context.Context, logPath string, gen int64, index int, format, out 
 	}
 
 	fmt.Printf("%s: %d segments, %d visits, planned in %s (%d replanned, %d reused)\n",
-		rep.Name, len(plan.Segments), len(plan.Schedule.Visits), planDur.Round(time.Microsecond),
+		rep.Name, len(plan.Segments), plan.Schedule.NumVisits(), planDur.Round(time.Microsecond),
 		plan.Replanned, plan.Reused)
 	fmt.Printf("%-24s %8s %14s %4s %7s\n", "segment", "arrives", "fingerprint", "rf", "visits")
 	for _, s := range rep.Segments {

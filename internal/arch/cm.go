@@ -152,3 +152,16 @@ func (cm *ContextMemory) evictOldest() error {
 	return fmt.Errorf("arch: %d context words counted used but nothing to evict: %w",
 		cm.used, ErrCMCorrupt)
 }
+
+// AppendResident appends the resident groups to dst in load order, each
+// as its ID followed by its words, and returns the extended slice. Two
+// memories of one capacity with equal lists load and evict alike from
+// then on.
+func (cm *ContextMemory) AppendResident(dst []int) []int {
+	for i := cm.head; i < len(cm.order); i++ {
+		if g := cm.order[i]; int(cm.group[g].at) == i {
+			dst = append(dst, int(g), cm.group[g].words)
+		}
+	}
+	return dst
+}

@@ -172,7 +172,8 @@ func Check(p *Program, sched *core.Schedule) (*CheckReport, error) {
 				rep.CtxWords, sched.TotalCtxWords())
 		}
 		wantExecs := 0
-		for _, v := range sched.Visits {
+		for i := range sched.NumVisits() {
+			v := sched.Visit(i)
 			wantExecs += v.Iters * len(sched.P.Clusters[v.Cluster].Kernels)
 		}
 		if rep.Execs != wantExecs {

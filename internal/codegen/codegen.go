@@ -135,7 +135,8 @@ func GenerateFrom(s *core.Schedule, rep *core.AllocationReport) (*Program, error
 	// size presizes the program: a load, a store and an EXEC per
 	// movement or kernel and iteration, plus the context loads.
 	nSets, size := 0, 0
-	for _, v := range s.Visits {
+	for i := range s.NumVisits() {
+		v := s.Visit(i)
 		nSets = max(nSets, v.Set+1)
 		size += (len(v.Loads)+len(v.Stores)+len(s.P.Clusters[v.Cluster].Kernels))*v.Iters + len(v.CtxLoads)
 	}
@@ -166,7 +167,8 @@ func GenerateFrom(s *core.Schedule, rep *core.AllocationReport) (*Program, error
 	// Events of one visit are contiguous and in visit order: each
 	// visit's run is [first, end).
 	end := 0
-	for vi, v := range s.Visits {
+	for vi := range s.NumVisits() {
+		v := s.Visit(vi)
 		first := end
 		for end < len(rep.Events) && rep.Events[end].Block == v.Block && rep.Events[end].Cluster == v.Cluster {
 			end++

@@ -92,7 +92,7 @@ func TestGenerateCDSSkipsRetainedTraffic(t *testing.T) {
 func TestGenerateExecCounts(t *testing.T) {
 	p, s := generate(t, core.DataScheduler{}, 400, 4)
 	wantExecs := 0
-	for _, v := range s.Visits {
+	for _, v := range s.Visits() {
 		wantExecs += v.Iters * len(s.P.Clusters[v.Cluster].Kernels)
 	}
 	if got := p.Count(OpExec); got != wantExecs {

@@ -65,7 +65,7 @@ func allocDigest(t *testing.T, rep *core.AllocationReport, err error) string {
 // objects, the reuse factor and the release discipline.
 func scheduleDigest(t *testing.T, s *core.Schedule) string {
 	t.Helper()
-	raw, err := json.Marshal([]any{s.Scheduler, s.RF, s.InPlaceRelease, s.Retained, s.Visits})
+	raw, err := json.Marshal([]any{s.Scheduler, s.RF, s.InPlaceRelease, s.Retained, s.Visits()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func (g goldenCases) add(t *testing.T, name string, p arch.Params, part *app.Par
 		}
 		g.schedules[key] = []string{scheduleDigest(t, s)}
 		g.allocs[key] = policyDigests(t, s)
-		if i < 3 && s.RF > 1 && len(s.Visits) > len(s.Info.Clusters) {
+		if i < 3 && s.RF > 1 && s.NumVisits() > len(s.Info.Clusters) {
 			g.allocs[key+"/ragged"] = policyDigests(t, ragged(s))
 		}
 	}
@@ -130,16 +130,26 @@ func policyDigests(t *testing.T, s *core.Schedule) []string {
 // visit. The later blocks place more instances per visit than the first,
 // so remembered addresses collide and the replay's irregularity
 // bookkeeping (Regular, IrregularObjects) is exercised; no scheduler
-// emits such a schedule.
+// emits such a schedule. The copy keeps s's steady block: when that is
+// block 0, its first run becomes a leading block.
 func ragged(s *core.Schedule) *core.Schedule {
-	r := *s
-	r.Visits = slices.Clone(s.Visits)
-	for i := range r.Visits {
-		if r.Visits[i].Block == 0 {
-			r.Visits[i].Iters = 1
+	per := s.Period()
+	vs := slices.Clone(per.Visits)
+	if per.Len > 0 && per.Lead == 0 {
+		next := slices.Clone(vs[:per.Len])
+		for i := range next {
+			next[i].Block++
+		}
+		vs = slices.Concat(vs[:per.Len], next, vs[per.Len:])
+		per.Lead, per.Repeat = per.Len, per.Repeat-1
+	}
+	for i := range vs {
+		if vs[i].Block == 0 {
+			vs[i].Iters = 1
 		}
 	}
-	return &r
+	per.Visits = vs
+	return core.WithPeriod(s, per)
 }
 
 // goldenDigests computes every golden case.

@@ -1,14 +1,16 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"cds/internal/alloc"
-	"cds/internal/extract"
 )
 
 // AllocOp is the kind of one allocation-trace event.
@@ -253,15 +255,12 @@ func allocate(s *Schedule, opts AllocOptions, record bool) (*AllocationReport, e
 	if opts.OneSided {
 		resultDir = alloc.FromTop
 	}
-	plans := make([]clusterReplay, len(s.Info.Clusters))
-	for i, ci := range s.Info.Clusters {
-		plans[i] = planCluster(s, ci, resultDir)
+	plans, err := planReplay(s, resultDir)
+	if err != nil {
+		return rep, err
 	}
 	if record {
-		nAllocs := 0
-		for _, v := range s.Visits {
-			nAllocs += v.Iters * plans[v.Cluster].allocsPerIter
-		}
+		nAllocs := s.sum(func(v *Visit) int { return v.Iters * plans[v.Cluster].allocsPerIter })
 		if nAllocs > 0 {
 			// Every placement is released exactly once (the leak
 			// check below), so twice the placement bound bounds the
@@ -333,20 +332,24 @@ func allocate(s *Schedule, opts AllocOptions, record bool) (*AllocationReport, e
 	}
 
 	// Loop fission runs the same visits in every RF block. A summary
-	// stops at the replay's period: a block that starts and ends with
-	// every set empty and remembers no new address leaves the replay
-	// state as it found it, so each following block of the same visits
-	// would repeat it exactly, splits included. The recording walks
-	// every block for its events. start and end bound the current block;
-	// splits counts the splits made before it.
+	// stops at the replay's period: a steady block that starts and ends
+	// with every set empty and remembers no new address leaves the
+	// replay state as it found it, so each following run of the steady
+	// block would repeat it exactly, splits included. The recording
+	// walks every block for its events. start and end bound the current
+	// block; splits counts the splits made before it.
+	per := &s.period
+	steadyEnd := per.Lead + per.Repeat*per.Len
 	skippedSplits, start, end, splits, periodic := 0, 0, 0, 0, false
-	for i := 0; i < len(s.Visits); i++ {
+	for i, nv := 0, s.NumVisits(); i < nv; i++ {
 		if i == end {
-			start, end = i, blockEnd(s.Visits, i)
+			start, end = i, per.blockEnd(i, nv)
 			rep.replayed++
 			periodic, moved, splits = !record && allEmpty(fbs), false, totalSplits(fbs)
 		}
-		v := s.Visits[i]
+		j, run := per.at(i)
+		v := per.Visits[j]
+		v.Block += run
 		c := s.Info.Clusters[v.Cluster].Cluster
 		pl := &plans[v.Cluster]
 		fb := fbs[c.Set]
@@ -424,17 +427,10 @@ func allocate(s *Schedule, opts AllocOptions, record bool) (*AllocationReport, e
 				c.Index, v.Block, err)
 		}
 
-		if i+1 == end && periodic && !moved && allEmpty(fbs) {
-			delta := totalSplits(fbs) - splits
-			for end < len(s.Visits) {
-				next := blockEnd(s.Visits, end)
-				if !sameVisits(s.Visits[start:i+1], s.Visits[end:next]) {
-					break
-				}
-				skippedSplits += delta
-				end = next
-			}
-			i = end - 1
+		if i+1 == end && periodic && !moved && allEmpty(fbs) &&
+			per.Len > 0 && start >= per.Lead && end < steadyEnd && (steadyEnd-end)%per.Len == 0 {
+			skippedSplits += (totalSplits(fbs) - splits) * ((steadyEnd - end) / per.Len)
+			i, end = steadyEnd-1, steadyEnd
 		}
 	}
 
@@ -458,28 +454,20 @@ func allocate(s *Schedule, opts AllocOptions, record bool) (*AllocationReport, e
 	return rep, nil
 }
 
-// blockEnd returns the end of the block that starts at visits[start]: the
-// run of visits that share its Block.
-func blockEnd(visits []Visit, start int) int {
+// blockEnd returns the end of the block that starts at visit start of
+// the execution order: the run of visits that share its Block.
+func (p *Period) blockEnd(start, n int) int {
 	end := start + 1
-	for end < len(visits) && visits[end].Block == visits[start].Block {
+	for end < n && p.block(end) == p.block(start) {
 		end++
 	}
 	return end
 }
 
-// sameVisits reports whether two blocks visit the same clusters in the
-// same order for as many iterations each.
-func sameVisits(a, b []Visit) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Cluster != b[i].Cluster || a[i].Iters != b[i].Iters {
-			return false
-		}
-	}
-	return true
+// block returns the block of visit i of the execution order.
+func (p *Period) block(i int) int {
+	j, run := p.at(i)
+	return p.Visits[j].Block + run
 }
 
 // allEmpty reports whether every FB set holds nothing.
@@ -544,117 +532,152 @@ type retiredObject struct {
 	set int
 }
 
-// planCluster resolves one cluster's replay lists. Retained objects
-// pinned to the cluster's set or accessed remotely on another set are
-// never released by the cluster itself.
-func planCluster(s *Schedule, ci extract.ClusterInfo, resultDir alloc.Dir) clusterReplay {
-	a := s.P.App
-	c := ci.Cluster
-	pinned := pinnedFor(s.Retained, c)
-	remote := remoteFor(s.Retained, c)
-	// retainedHere reports whether the datum is retained on the
-	// cluster's set; cross-set retained objects count on every set.
-	retainedHere := func(name string) bool {
-		for _, r := range s.Retained {
-			if r.Name == name && (r.Set == c.Set || r.CrossSet) {
-				return true
-			}
+// planReplay resolves every cluster's replay lists over datum IDs, from
+// the analysis' compiled walks and the retention stamped per cluster on a
+// pooled per-ID scratch, as the footprint model does. The lists of all
+// clusters are carved from shared arrays. Retained objects pinned to a
+// cluster's set or accessed remotely on another set are never released
+// by the cluster itself.
+func planReplay(s *Schedule, resultDir alloc.Dir) ([]clusterReplay, error) {
+	a, info := s.P.App, s.Info
+	plans := make([]clusterReplay, len(info.Clusters))
+	nk, nids, nouts := 0, len(info.Clusters)*len(s.Retained), 0
+	for c := range info.Clusters {
+		w := info.Walk(c)
+		if w == nil {
+			return nil, fmt.Errorf("core: allocation replay of app %q: the analysis has no compiled walks", a.Name)
 		}
-		return false
-	}
-	id := func(name string) int32 { return int32(a.DatumID(name)) }
-	// owned appends the IDs of names the cluster releases itself.
-	owned := func(dst []int32, names []string) []int32 {
-		for _, n := range names {
-			if !pinned[n] && !remote[n] {
-				dst = append(dst, id(n))
-			}
+		nids += len(w.Persistent)
+		for _, st := range w.Steps {
+			nids += 2*len(st.D) + len(st.StreamIn) + len(st.Release) + len(st.Inter)
+			nouts += len(st.Out)
 		}
-		return dst
+		nk += len(w.Steps)
 	}
-	var pl clusterReplay
+	kernels := make([]kernelReplay, 0, nk)
+	ids := make([]int32, 0, nids)
+	outs := make([]placedOutput, 0, nouts)
+	var retiring []retiredObject
 
-	var sharedHere []Retained
+	sc := getScratch(a.NumData())
+	defer putScratch(sc)
+	rid := sc.retained[:0]
 	for _, r := range s.Retained {
-		if r.Kind == RetainedData && r.Set == c.Set && r.From == c.Index {
-			sharedHere = append(sharedHere, r)
-		}
+		rid = append(rid, int32(a.DatumID(r.Name)))
 	}
-	sort.Slice(sharedHere, func(i, j int) bool {
-		if sharedHere[i].To != sharedHere[j].To {
-			return sharedHere[i].To > sharedHere[j].To
-		}
-		return sharedHere[i].Name < sharedHere[j].Name
-	})
-	for _, r := range sharedHere {
-		pl.loads = append(pl.loads, id(r.Name))
-	}
+	sc.retained = rid
 
-	for i := len(ci.PerKernel) - 1; i >= 0; i-- {
-		for _, d := range ci.PerKernel[i].D {
-			// Retained objects are either loaded in phase 1 by
-			// this cluster or still resident from an earlier
-			// cluster of the block.
-			if !retainedHere(d) && !a.IsStreamed(d) {
-				pl.loads = append(pl.loads, id(d))
+	for ci := range info.Clusters {
+		c := info.Clusters[ci].Cluster
+		w := info.Walk(ci)
+		pl := &plans[ci]
+		sc.begin()
+		ep := sc.epoch
+		// here marks the data retained on the cluster's set
+		// (cross-set retained objects count on every set); pinned and
+		// remote mirror pinnedFor and remoteFor.
+		here, pinned, remote := sc.live, sc.pinned, sc.remote
+		for i := range s.Retained {
+			r, id := &s.Retained[i], rid[i]
+			if id < 0 {
+				continue
+			}
+			if r.Set == c.Set || r.CrossSet {
+				here[id] = ep
+			}
+			if r.From <= c.Index && c.Index <= r.To {
+				if r.Set == c.Set {
+					pinned[id] = ep
+				} else if r.CrossSet {
+					remote[id] = ep
+				}
 			}
 		}
-	}
+		// owned appends the IDs the cluster releases itself.
+		owned := func(dst, src []int32) []int32 {
+			for _, id := range src {
+				if pinned[id] != ep && remote[id] != ep {
+					dst = append(dst, id)
+				}
+			}
+			return dst
+		}
+		mark := len(ids)
 
-	// releaseAfter[k] lists intermediates whose last consumer is
-	// kernel k.
-	releaseAfter := map[int][]string{}
-	for _, kc := range ci.PerKernel {
-		for out, t := range kc.R {
-			releaseAfter[t] = append(releaseAfter[t], out)
-		}
-	}
-	for _, names := range releaseAfter {
-		sort.Strings(names)
-	}
-	pl.kernels = make([]kernelReplay, len(ci.PerKernel))
-	for i, kc := range ci.PerKernel {
-		k := a.Kernels[kc.Kernel]
-		kr := kernelReplay{kernel: kc.Kernel}
-		for _, in := range k.Inputs {
-			if a.IsStreamed(in) && !remote[in] {
-				kr.streamed = append(kr.streamed, id(in))
+		// Phase 1: retained data this cluster loads, farthest reaching
+		// first, then by name.
+		shared := sc.order[:0]
+		for i := range s.Retained {
+			if r := &s.Retained[i]; r.Kind == RetainedData && r.Set == c.Set && r.From == c.Index {
+				shared = append(shared, int32(i))
 			}
 		}
-		kr.outputs = make([]placedOutput, len(k.Outputs))
-		for j, out := range k.Outputs {
-			dir := resultDir
-			if retainedHere(out) {
-				// Shared results go to the top: they are data
-				// for the next clusters.
-				dir = alloc.FromTop
+		slices.SortFunc(shared, func(x, y int32) int {
+			rx, ry := &s.Retained[x], &s.Retained[y]
+			return cmp.Or(cmp.Compare(ry.To, rx.To), strings.Compare(rx.Name, ry.Name))
+		})
+		for _, i := range shared {
+			ids = append(ids, rid[i])
+		}
+		sc.order = shared
+		// Phase 2: each kernel's own inputs, last kernel first, but
+		// not the retained ones (loaded in phase 1 by this cluster or
+		// still resident from an earlier cluster of the block) or the
+		// streamed ones.
+		for i := len(w.Steps) - 1; i >= 0; i-- {
+			for _, id := range w.Steps[i].D {
+				if here[id] != ep && !a.IsStreamedID(id) {
+					ids = append(ids, id)
+				}
 			}
-			kr.outputs[j] = placedOutput{id(out), dir}
 		}
-		if s.InPlaceRelease {
-			kr.releases = owned(owned(nil, kc.D), releaseAfter[kc.Kernel])
-		}
-		pl.kernels[i] = kr
-		pl.allocsPerIter += len(kr.streamed) + len(kr.outputs)
-	}
-	pl.allocsPerIter += len(pl.loads)
+		pl.loads, mark = carve(ids, mark)
 
-	pl.leaving = owned(nil, ci.PersistentOut)
-	if !s.InPlaceRelease {
-		for _, kc := range ci.PerKernel {
-			pl.leaving = owned(pl.leaving, kc.D)
-			inter := make([]string, 0, len(kc.R))
-			for out := range kc.R {
-				inter = append(inter, out)
+		first := len(kernels)
+		for i, kc := range info.Clusters[ci].PerKernel {
+			st := &w.Steps[i]
+			kr := kernelReplay{kernel: kc.Kernel}
+			for _, id := range a.KernelInputIDs(kc.Kernel) {
+				if a.IsStreamedID(id) && remote[id] != ep {
+					ids = append(ids, id)
+				}
 			}
-			sort.Strings(inter)
-			pl.leaving = owned(pl.leaving, inter)
+			kr.streamed, mark = carve(ids, mark)
+			omark := len(outs)
+			for _, id := range st.Out {
+				dir := resultDir
+				if here[id] == ep {
+					// Shared results go to the top: they are data
+					// for the next clusters.
+					dir = alloc.FromTop
+				}
+				outs = append(outs, placedOutput{id, dir})
+			}
+			kr.outputs, _ = carve(outs, omark)
+			if s.InPlaceRelease {
+				ids = owned(ids, st.Release)
+				kr.releases, mark = carve(ids, mark)
+			}
+			kernels = append(kernels, kr)
+			pl.allocsPerIter += len(kr.streamed) + len(kr.outputs)
 		}
-	}
-	for _, r := range s.Retained {
-		if r.To == c.Index && (r.Set == c.Set || r.CrossSet) {
-			pl.retiring = append(pl.retiring, retiredObject{id(r.Name), r.Set})
+		pl.kernels, _ = carve(kernels, first)
+		pl.allocsPerIter += len(pl.loads)
+
+		ids = owned(ids, w.Persistent)
+		if !s.InPlaceRelease {
+			for _, st := range w.Steps {
+				ids = owned(owned(ids, st.D), st.Inter)
+			}
 		}
+		pl.leaving, _ = carve(ids, mark)
+		rmark := len(retiring)
+		for i := range s.Retained {
+			if r := &s.Retained[i]; r.To == c.Index && (r.Set == c.Set || r.CrossSet) {
+				retiring = append(retiring, retiredObject{rid[i], r.Set})
+			}
+		}
+		pl.retiring, _ = carve(retiring, rmark)
 	}
-	return pl
+	return plans, nil
 }

@@ -29,7 +29,7 @@ func TestBasicContextTrafficIsFullReload(t *testing.T) {
 	}
 	// Every visit recharges its cluster's full volume — none comes back
 	// lighter because a group survived in the CM.
-	for _, v := range s.Visits {
+	for _, v := range s.Visits() {
 		sum := 0
 		for _, ki := range part.Clusters[v.Cluster].Kernels {
 			sum += part.App.Kernels[ki].ContextWords

@@ -199,8 +199,8 @@ func TestBasicScheduler(t *testing.T) {
 	if s.RF != 1 {
 		t.Errorf("basic RF = %d, want 1", s.RF)
 	}
-	if len(s.Visits) != 4*3 {
-		t.Fatalf("visits = %d, want 12 (4 iterations x 3 clusters)", len(s.Visits))
+	if s.NumVisits() != 4*3 {
+		t.Fatalf("visits = %d, want 12 (4 iterations x 3 clusters)", s.NumVisits())
 	}
 	// Per iteration: loads inA+x (c0) + r2 (c1) + inA+rB (c2) = 350;
 	// stores r2+rB (c0) + out1 (c1) + out2 (c2) = 140.
@@ -240,8 +240,8 @@ func TestDataScheduler(t *testing.T) {
 	if s.RF != 2 {
 		t.Errorf("DS RF = %d, want 2", s.RF)
 	}
-	if len(s.Visits) != 2*3 {
-		t.Fatalf("visits = %d, want 6 (2 blocks x 3 clusters)", len(s.Visits))
+	if s.NumVisits() != 2*3 {
+		t.Fatalf("visits = %d, want 6 (2 blocks x 3 clusters)", s.NumVisits())
 	}
 	// Same data traffic as basic (no retention), just batched.
 	if got := s.TotalLoadBytes(); got != 4*350 {
@@ -317,7 +317,7 @@ func TestCrossSetResultNotRetained(t *testing.T) {
 	}
 	// r2 is still stored and loaded.
 	found := false
-	for _, v := range s.Visits {
+	for _, v := range s.Visits() {
 		for _, m := range v.Loads {
 			if m.Datum == "r2" {
 				found = true

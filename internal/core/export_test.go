@@ -53,3 +53,11 @@ func GuardCandidates(sched Scheduler, pa arch.Params, part *app.Partition) ([]Gu
 
 // ReplayedBlocks returns the number of blocks r's replay walked.
 func ReplayedBlocks(r *AllocationReport) int { return r.replayed }
+
+// WithPeriod returns a copy of s whose visits are stored as per, for
+// tests that build a period by hand.
+func WithPeriod(s *Schedule, per Period) *Schedule {
+	c := *s
+	c.period = per
+	return &c
+}

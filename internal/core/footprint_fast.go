@@ -25,6 +25,11 @@ type fpScratch struct {
 	produced []uint32 // produced[id] == epoch -> written by this cluster
 
 	pinnedList []int32 // IDs pinned in the current epoch
+
+	// The allocation replay's plan (planReplay) stamps the same arrays
+	// and keeps two lists here: the retained objects' IDs and an index
+	// list it sorts.
+	retained, order []int32
 }
 
 var fpPool = sync.Pool{New: func() any { return &fpScratch{} }}

@@ -60,7 +60,7 @@ func guardCorpus(t *testing.T) []guardCase {
 // and store.
 func demandOf(s *core.Schedule) int {
 	n := s.Arch.ContextCycles(s.TotalCtxWords())
-	for _, v := range s.Visits {
+	for _, v := range s.Visits() {
 		for _, m := range v.Loads {
 			n += s.Arch.DataCycles(m.Bytes)
 		}
@@ -147,7 +147,7 @@ func TestGuardDemandIsALowerBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", gc.name, err)
 		}
-		if got.RF != want.RF || !reflect.DeepEqual(got.Retained, want.Retained) || !reflect.DeepEqual(got.Visits, want.Visits) {
+		if got.RF != want.RF || !reflect.DeepEqual(got.Retained, want.Retained) || !reflect.DeepEqual(got.Visits(), want.Visits()) {
 			t.Fatalf("%s: guard picks RF %d %v, reference RF %d %v", gc.name, got.RF, got.Retained, want.RF, want.Retained)
 		}
 	}

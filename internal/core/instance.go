@@ -22,7 +22,7 @@ type Instances struct {
 // InstancesOf returns the instance keys of the schedule.
 func InstancesOf(s *Schedule) Instances {
 	in := Instances{a: s.P.App}
-	for _, v := range s.Visits {
+	for _, v := range s.period.Visits {
 		in.Iters = max(in.Iters, v.Iters)
 	}
 	return in

@@ -49,7 +49,7 @@ func NewReplay(s *Schedule, rep *AllocationReport) (*Replay, error) {
 		return nil, errSummary
 	}
 	sets := -1
-	for _, v := range s.Visits {
+	for _, v := range s.period.Visits {
 		sets = max(sets, v.Set)
 	}
 	for _, ev := range rep.Events {
@@ -106,7 +106,8 @@ func (r *Replay) Walk(h ReplayHooks) error {
 	loading := make([]int32, a.NumData())
 
 	end := 0
-	for vi, v := range s.Visits {
+	for vi := range s.NumVisits() {
+		v := s.Visit(vi)
 		first := end
 		for end < len(events) && events[end].Block == v.Block && events[end].Cluster == v.Cluster {
 			end++

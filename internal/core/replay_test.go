@@ -27,16 +27,15 @@ func crossSetReplay(t *testing.T) (*Schedule, *AllocationReport) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Schedule{
+	s := Schedule{
 		Arch: arch.M1(),
 		P:    app.MustPartition(a, 3, 1, 1, 1),
 		RF:   1,
-		Visits: []Visit{
-			{Cluster: 0, Set: 2, Iters: 1, Loads: []Movement{{Datum: "x", Bytes: 8}}},
-			{Cluster: 1, Set: 1, Iters: 1, Loads: []Movement{{Datum: "w", Bytes: 8}}},
-			{Cluster: 2, Set: 0, Iters: 1},
-		},
-	}
+	}.WithVisits([]Visit{
+		{Cluster: 0, Set: 2, Iters: 1, Loads: []Movement{{Datum: "x", Bytes: 8}}},
+		{Cluster: 1, Set: 1, Iters: 1, Loads: []Movement{{Datum: "w", Bytes: 8}}},
+		{Cluster: 2, Set: 0, Iters: 1},
+	})
 	in := InstancesOf(s)
 	ev := func(op AllocOp, set int, datum string, cluster, kernel, iter int) AllocEvent {
 		return AllocEvent{Op: op, Set: set, Bytes: 8,
@@ -82,7 +81,7 @@ func TestWalkReplay(t *testing.T) {
 		Step: func(vi, ki, iter int) error {
 			line := fmt.Sprintf("v%d step %s", vi, a.Kernels[ki].Name)
 			for _, id := range a.KernelInputIDs(ki) {
-				if slot := r.Find(s.Visits[vi].Set, r.Inst.Key(id, iter)); slot >= 0 {
+				if slot := r.Find(s.Visit(vi).Set, r.Inst.Key(id, iter)); slot >= 0 {
 					line += fmt.Sprintf(" reads %s set%d", a.DatumName(id), r.Placed(slot).Set)
 				}
 			}

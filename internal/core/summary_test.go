@@ -111,8 +111,8 @@ func compareReplays(t *testing.T, name string, s *core.Schedule, split bool) (su
 	return sum, rec
 }
 
-// mpegCDS returns the MPEG CDS schedule (RF 2: fifteen blocks of two
-// iterations) with a copy of its visit list, to be edited by hand.
+// mpegCDS returns a fresh MPEG CDS schedule (RF 2: fifteen blocks of two
+// iterations), to be edited by hand.
 func mpegCDS(t *testing.T) *core.Schedule {
 	t.Helper()
 	e := workloads.MPEG()
@@ -120,12 +120,10 @@ func mpegCDS(t *testing.T) *core.Schedule {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.RF != 2 || len(s.Visits) != 15*len(s.Info.Clusters) {
-		t.Fatalf("MPEG CDS: RF %d, %d visits; want RF 2 and 15 blocks", s.RF, len(s.Visits))
+	if s.RF != 2 || s.NumVisits() != 15*len(s.Info.Clusters) {
+		t.Fatalf("MPEG CDS: RF %d, %d visits; want RF 2 and 15 blocks", s.RF, s.NumVisits())
 	}
-	r := *s
-	r.Visits = slices.Clone(s.Visits)
-	return &r
+	return s
 }
 
 // TestSummaryStopsAtThePeriod: the stock MPEG CDS replay repeats from
@@ -146,9 +144,11 @@ func TestSummaryStopsAtThePeriod(t *testing.T) {
 // and the summary walks every block.
 func TestSummaryWithoutAPeriod(t *testing.T) {
 	s := mpegCDS(t)
-	for i := range s.Visits {
-		s.Visits[i].Iters = 1 + s.Visits[i].Block%2
+	vs := s.Visits()
+	for i := range vs {
+		vs[i].Iters = 1 + vs[i].Block%2
 	}
+	s = s.WithVisits(vs)
 	sum, rec := compareReplays(t, "MPEG/cds/alternating", s, true)
 	if rec.Regular {
 		t.Error("alternating blocks kept every address; want moves")
@@ -160,13 +160,25 @@ func TestSummaryWithoutAPeriod(t *testing.T) {
 
 // TestSummaryTailBlockFails: a tail block too large for the Frame Buffer
 // fails the summary as it fails the recording, naming the tail block,
-// although the blocks before it repeat and are skipped.
+// although the blocks before it repeat and are skipped. The schedule's
+// last steady run becomes a trailing block of eight iterations.
 func TestSummaryTailBlockFails(t *testing.T) {
 	s := mpegCDS(t)
-	for i := range s.Visits {
-		if s.Visits[i].Block == 14 {
-			s.Visits[i].Iters = 8
-		}
+	per := s.Period()
+	if per.Len == 0 || per.Lead+per.Len != len(per.Visits) {
+		t.Fatalf("MPEG CDS period %d+%d of %d visits; want a steady block that runs to the end",
+			per.Lead, per.Len, len(per.Visits))
+	}
+	tail := slices.Clone(per.Visits[per.Lead:])
+	for i := range tail {
+		tail[i].Block += per.Repeat - 1
+		tail[i].Iters = 8
+	}
+	per.Visits = slices.Concat(per.Visits, tail)
+	per.Repeat--
+	s = core.WithPeriod(s, per)
+	if got := s.Visit(s.NumVisits() - 1).Block; got != 14 {
+		t.Fatalf("tail block %d, want 14", got)
 	}
 	for _, split := range []bool{true, false} {
 		sum, rec := compareReplays(t, fmt.Sprintf("MPEG/cds/tail/split=%v", split), s, split)
@@ -245,16 +257,17 @@ func TestSummaryIsNotAnEventLog(t *testing.T) {
 
 // TestVisitListsFollowBlockZero pins the visit build's data lists. Every
 // visit's Loads and Stores name its cluster's block-0 data in the same
-// order, each moving Iters instances of the datum. Each visit owns its
-// lists: writing into one visit's Loads, or appending to them, changes no
-// other visit's lists.
+// order, each moving Iters instances of the datum. Each visit of the
+// period owns its lists: writing into one visit's Loads, or appending to
+// them, changes no other stored visit's lists. (The runs of the steady
+// block share its visits' lists.)
 func TestVisitListsFollowBlockZero(t *testing.T) {
 	keys, scheds := corpusSchedules(t, 200)
 	for _, key := range keys {
 		s := scheds[key]
 		a := s.P.App
 		first := map[int]core.Visit{}
-		for vi, v := range s.Visits {
+		for vi, v := range s.Visits() {
 			if v.Block == 0 {
 				first[v.Cluster] = v
 			}
@@ -278,16 +291,17 @@ func TestVisitListsFollowBlockZero(t *testing.T) {
 			}
 		}
 
+		stored := s.Period().Visits
 		snapshot := func() [][]core.Movement {
 			var out [][]core.Movement
-			for _, v := range s.Visits {
+			for _, v := range stored {
 				out = append(out, slices.Clone(v.Loads), slices.Clone(v.Stores), slices.Clone(v.CtxLoads))
 			}
 			return out
 		}
 		before := snapshot()
-		for vi := range s.Visits {
-			v := &s.Visits[vi]
+		for vi := range stored {
+			v := &stored[vi]
 			if len(v.Loads) == 0 {
 				continue
 			}
@@ -295,7 +309,7 @@ func TestVisitListsFollowBlockZero(t *testing.T) {
 			v.Loads[0].Bytes = -1
 			v.Loads = append(v.Loads, core.Movement{Datum: "stray", Bytes: -1})
 			after := snapshot()
-			for wi := range s.Visits {
+			for wi := range stored {
 				for l := 0; l < 3; l++ {
 					if wi == vi && l == 0 {
 						continue

@@ -18,7 +18,9 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"slices"
 
 	"cds/internal/app"
 	"cds/internal/arch"
@@ -117,6 +119,14 @@ type Retained struct {
 // Schedule is the complete output of one scheduler run on one partitioned
 // application: enough to simulate timing, replay allocation and generate
 // code.
+//
+// Loop fission makes a schedule periodic: once a block runs as many
+// iterations as the block before it from the same Context Memory state,
+// every later block of that many iterations repeats it exactly. A
+// schedule therefore stores its visits as one period (see Period): the
+// leading blocks, one steady block with a repeat count and the trailing
+// blocks. NumVisits, Visit and Visits read the execution order it
+// stands for; WithVisits makes a schedule from an explicit visit list.
 type Schedule struct {
 	// Scheduler names the policy that produced the schedule ("basic",
 	// "ds", "cds").
@@ -131,53 +141,143 @@ type Schedule struct {
 	// Retained lists the inter-cluster objects kept in the FB (empty
 	// for basic and ds).
 	Retained []Retained
-	// Visits is the execution order.
-	Visits []Visit
 
 	// InPlaceRelease records whether the footprint model releases dead
 	// data during cluster execution (false only for the basic
 	// scheduler); the allocator replay needs it.
 	InPlaceRelease bool
+
+	// period is the stored form of the visits.
+	period Period
+}
+
+// Period is the stored form of a schedule's visits. Visits lists, in
+// execution order, the leading visits, one steady block of Len visits
+// starting at Lead, and the trailing visits. The steady block runs Repeat
+// times in a row, its k-th run numbering its visits' blocks Block+k; the
+// trailing visits carry their own block numbers. Len 0 means Visits is
+// the whole execution order. The lists are shared: treat them as
+// read-only.
+type Period struct {
+	Visits            []Visit
+	Lead, Len, Repeat int
+}
+
+// WithVisits returns a copy of s whose visits are the explicit list vs,
+// in execution order. It is how the stream and tenant planners make their
+// schedules, and how a test edits an expansion (Visits) into a schedule.
+func (s Schedule) WithVisits(vs []Visit) *Schedule {
+	s.period = Period{Visits: vs}
+	return &s
+}
+
+// Period returns the schedule's stored form.
+func (s *Schedule) Period() Period { return s.period }
+
+// NumVisits returns the number of visits in execution order.
+func (s *Schedule) NumVisits() int {
+	p := &s.period
+	if p.Len == 0 {
+		return len(p.Visits)
+	}
+	return len(p.Visits) + (p.Repeat-1)*p.Len
+}
+
+// at maps visit i of the execution order to its index in Visits and the
+// number of steady runs before it within the steady blocks.
+func (p *Period) at(i int) (int, int) {
+	if p.Len == 0 || i < p.Lead {
+		return i, 0
+	}
+	j := i - p.Lead
+	if j < p.Repeat*p.Len {
+		return p.Lead + j%p.Len, j / p.Len
+	}
+	return i - (p.Repeat-1)*p.Len, 0
+}
+
+// Visit returns visit i of the execution order, 0 <= i < NumVisits().
+func (s *Schedule) Visit(i int) Visit {
+	j, k := s.period.at(i)
+	v := s.period.Visits[j]
+	v.Block += k
+	return v
+}
+
+// Visits returns a fresh expansion of the execution order. The visits
+// share the period's movement lists.
+func (s *Schedule) Visits() []Visit {
+	p := &s.period
+	if p.Len == 0 {
+		return slices.Clone(p.Visits)
+	}
+	out := make([]Visit, 0, s.NumVisits())
+	out = append(out, p.Visits[:p.Lead]...)
+	steady := p.Visits[p.Lead : p.Lead+p.Len]
+	for k := 0; k < p.Repeat; k++ {
+		for _, v := range steady {
+			v.Block += k
+			out = append(out, v)
+		}
+	}
+	return append(out, p.Visits[p.Lead+p.Len:]...)
+}
+
+// MarshalJSON encodes the schedule with its expanded visits, in the field
+// order of the struct.
+func (s Schedule) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Scheduler      string
+		Arch           arch.Params
+		P              *app.Partition
+		Info           *extract.Info
+		RF             int
+		Retained       []Retained
+		Visits         []Visit
+		InPlaceRelease bool
+	}{s.Scheduler, s.Arch, s.P, s.Info, s.RF, s.Retained, s.Visits(), s.InPlaceRelease})
+}
+
+// sum returns f summed over every visit of the execution order: the
+// steady block counts Repeat times.
+func (s *Schedule) sum(f func(*Visit) int) int {
+	p := &s.period
+	n := 0
+	for i := range p.Visits {
+		n += f(&p.Visits[i])
+	}
+	if p.Len > 0 && p.Repeat > 1 {
+		steady := 0
+		for i := p.Lead; i < p.Lead+p.Len; i++ {
+			steady += f(&p.Visits[i])
+		}
+		n += (p.Repeat - 1) * steady
+	}
+	return n
 }
 
 // TotalLoadBytes returns the external-memory data bytes loaded across the
 // whole schedule.
 func (s *Schedule) TotalLoadBytes() int {
-	n := 0
-	for _, v := range s.Visits {
-		n += v.LoadBytes()
-	}
-	return n
+	return s.sum(func(v *Visit) int { return v.LoadBytes() })
 }
 
 // TotalStoreBytes returns the external-memory data bytes stored across
 // the whole schedule.
 func (s *Schedule) TotalStoreBytes() int {
-	n := 0
-	for _, v := range s.Visits {
-		n += v.StoreBytes()
-	}
-	return n
+	return s.sum(func(v *Visit) int { return v.StoreBytes() })
 }
 
 // TotalCtxWords returns the context words loaded across the whole
 // schedule.
 func (s *Schedule) TotalCtxWords() int {
-	n := 0
-	for _, v := range s.Visits {
-		n += v.CtxWords
-	}
-	return n
+	return s.sum(func(v *Visit) int { return v.CtxWords })
 }
 
 // TotalComputeCycles returns the RC-array busy cycles across the whole
 // schedule.
 func (s *Schedule) TotalComputeCycles() int {
-	n := 0
-	for _, v := range s.Visits {
-		n += v.ComputeCycles
-	}
-	return n
+	return s.sum(func(v *Visit) int { return v.ComputeCycles })
 }
 
 // AvoidedBytesPerIter sums the per-iteration external traffic saved by

@@ -40,13 +40,14 @@ func ValidateSchedule(s *Schedule) error {
 
 	blockSizes := blocks(a.Iterations, s.RF)
 	wantVisits := len(blockSizes) * numClusters
-	if len(s.Visits) != wantVisits {
+	if s.NumVisits() != wantVisits {
 		return fmt.Errorf("core: %d visits, want %d (%d blocks x %d clusters)",
-			len(s.Visits), wantVisits, len(blockSizes), numClusters)
+			s.NumVisits(), wantVisits, len(blockSizes), numClusters)
 	}
 
 	iterPerCluster := make([]int, numClusters)
-	for vi, v := range s.Visits {
+	for vi := range wantVisits {
+		v := s.Visit(vi)
 		wantBlock := vi / numClusters
 		wantCluster := vi % numClusters
 		if v.Block != wantBlock || v.Cluster != wantCluster {

@@ -28,6 +28,11 @@ func TestValidateScheduleRejectsCorruption(t *testing.T) {
 		return s
 	}
 
+	// edit makes a mutation that edits the expansion of a schedule's
+	// visits and rebuilds the schedule from it.
+	edit := func(f func(vs []Visit) []Visit) func(*Schedule) {
+		return func(s *Schedule) { *s = *s.WithVisits(f(s.Visits())) }
+	}
 	tests := []struct {
 		name    string
 		mutate  func(*Schedule)
@@ -35,34 +40,41 @@ func TestValidateScheduleRejectsCorruption(t *testing.T) {
 	}{
 		{"nil", nil, "nil"},
 		{"zero RF", func(s *Schedule) { s.RF = 0 }, "RF"},
-		{"dropped visit", func(s *Schedule) { s.Visits = s.Visits[1:] }, "visits"},
-		{"swapped visits", func(s *Schedule) {
-			s.Visits[0], s.Visits[1] = s.Visits[1], s.Visits[0]
-		}, "visit"},
-		{"phantom load", func(s *Schedule) {
-			s.Visits[0].Loads = append(s.Visits[0].Loads, Movement{Datum: "out1", Bytes: 40})
-		}, "loads"},
-		{"wrong load volume", func(s *Schedule) {
-			s.Visits[0].Loads[0].Bytes++
-		}, "bytes"},
-		{"phantom store", func(s *Schedule) {
-			s.Visits[0].Stores = append(s.Visits[0].Stores, Movement{Datum: "inA", Bytes: 200})
-		}, "stores"},
-		{"oversized ctx load", func(s *Schedule) {
-			for vi := range s.Visits {
-				if len(s.Visits[vi].CtxLoads) > 0 {
-					s.Visits[vi].CtxLoads[0].Bytes += 1000
-					s.Visits[vi].CtxWords += 1000
-					return
+		{"dropped visit", edit(func(vs []Visit) []Visit { return vs[1:] }), "visits"},
+		{"swapped visits", edit(func(vs []Visit) []Visit {
+			vs[0], vs[1] = vs[1], vs[0]
+			return vs
+		}), "visit"},
+		{"phantom load", edit(func(vs []Visit) []Visit {
+			vs[0].Loads = append(vs[0].Loads, Movement{Datum: "out1", Bytes: 40})
+			return vs
+		}), "loads"},
+		{"wrong load volume", edit(func(vs []Visit) []Visit {
+			vs[0].Loads[0].Bytes++
+			return vs
+		}), "bytes"},
+		{"phantom store", edit(func(vs []Visit) []Visit {
+			vs[0].Stores = append(vs[0].Stores, Movement{Datum: "inA", Bytes: 200})
+			return vs
+		}), "stores"},
+		{"oversized ctx load", edit(func(vs []Visit) []Visit {
+			for vi := range vs {
+				if len(vs[vi].CtxLoads) > 0 {
+					vs[vi].CtxLoads[0].Bytes += 1000
+					vs[vi].CtxWords += 1000
+					break
 				}
 			}
-		}, "context load"},
-		{"ctx sum mismatch", func(s *Schedule) {
-			s.Visits[0].CtxWords++
-		}, "CtxWords"},
-		{"wrong compute", func(s *Schedule) {
-			s.Visits[0].ComputeCycles++
-		}, "compute"},
+			return vs
+		}), "context load"},
+		{"ctx sum mismatch", edit(func(vs []Visit) []Visit {
+			vs[0].CtxWords++
+			return vs
+		}), "CtxWords"},
+		{"wrong compute", edit(func(vs []Visit) []Visit {
+			vs[0].ComputeCycles++
+			return vs
+		}), "compute"},
 		{"bad retained span", func(s *Schedule) {
 			if len(s.Retained) == 0 {
 				t.Skip("no retention on this config")

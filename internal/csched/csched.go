@@ -79,8 +79,8 @@ func Build(s *core.Schedule) (*Plan, error) {
 			clusterWords[i] += k.ContextWords
 		}
 	}
-	for vi := 1; vi < len(s.Visits); vi++ {
-		prev, cur := s.Visits[vi-1].Cluster, s.Visits[vi].Cluster
+	for vi := 1; vi < s.NumVisits(); vi++ {
+		prev, cur := s.Visit(vi-1).Cluster, s.Visit(vi).Cluster
 		if clusterWords[prev]+clusterWords[cur] > p.CMWords {
 			plan.DoubleBuffered = false
 			break
@@ -92,8 +92,8 @@ func Build(s *core.Schedule) (*Plan, error) {
 	// visit's compute ends.
 	dmaFree, rcFree := 0, 0
 	prevComputeEnd := 0
-	for vi := range s.Visits {
-		v := &s.Visits[vi]
+	for vi := range s.NumVisits() {
+		v := s.Visit(vi)
 		ctxCycles := p.ContextCycles(v.CtxWords)
 		vp := VisitPlan{Visit: vi, Words: v.CtxWords, Cycles: ctxCycles}
 

@@ -34,8 +34,8 @@ func TestBuildOverlapsWithLongCompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Visits) != len(s.Visits) {
-		t.Fatalf("plan has %d visits, want %d", len(plan.Visits), len(s.Visits))
+	if len(plan.Visits) != s.NumVisits() {
+		t.Fatalf("plan has %d visits, want %d", len(plan.Visits), s.NumVisits())
 	}
 	if plan.Visits[0].OverlappedCycles != 0 {
 		t.Error("first visit has nothing to overlap with")

@@ -59,10 +59,10 @@ func checkStream(ctx context.Context, sp *spec.Spec, res Result, cdsRes *cds.Res
 		return fail(res, SigStream+":static-diverges", fmt.Errorf(
 			"stream RF %d, static CDS RF %d", plan.Segments[0].RF, cdsRes.Schedule.RF)), true
 	}
-	if !reflect.DeepEqual(plan.Schedule.Visits, cdsRes.Schedule.Visits) {
+	if !reflect.DeepEqual(plan.Schedule.Visits(), cdsRes.Schedule.Visits()) {
 		return fail(res, SigStream+":static-diverges", fmt.Errorf(
 			"single-segment stream plan differs from the static CDS schedule (%d vs %d visits)",
-			len(plan.Schedule.Visits), len(cdsRes.Schedule.Visits))), true
+			plan.Schedule.NumVisits(), cdsRes.Schedule.NumVisits())), true
 	}
 	return res, false
 }

@@ -44,7 +44,7 @@ func TestFinalSharedResultRetention(t *testing.T) {
 	}
 	// ...its STORE must still happen (it is final)...
 	stored := false
-	for _, v := range s.Visits {
+	for _, v := range s.Visits() {
 		for _, m := range v.Stores {
 			if m.Datum == "rep" {
 				stored = true

@@ -123,7 +123,7 @@ func checkProgramOrder(t *testing.T, s *core.Schedule, seq []xfer) {
 			t.Fatalf("visit %d %ss:\n got %v\nwant %v", vi, phase, got, want)
 		}
 	}
-	for vi, v := range s.Visits {
+	for vi, v := range s.Visits() {
 		take(vi, visitXfers(s, v, "load", v.Loads), "load")
 		take(vi, visitXfers(s, v, "store", v.Stores), "store")
 	}

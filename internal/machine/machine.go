@@ -172,7 +172,8 @@ func RunWithHooks(s *core.Schedule, seed int64, sem Semantics, hooks *Hooks) (*R
 	// instance of absolute iteration abs: inputs are generated lazily;
 	// results appear when stored.
 	extIters := 0
-	for _, v := range s.Visits {
+	for i := range s.NumVisits() {
+		v := s.Visit(i)
 		extIters = max(extIters, v.Block*s.RF+v.Iters)
 	}
 	ext := make([][]byte, a.NumData()*extIters)
@@ -204,7 +205,7 @@ func RunWithHooks(s *core.Schedule, seed int64, sem Semantics, hooks *Hooks) (*R
 				return nil
 			}
 			id := r.Inst.Datum(int(ev.Inst))
-			datum, abs := a.DatumName(id), s.Visits[vi].Block*s.RF+r.Inst.Iter(int(ev.Inst))
+			datum, abs := a.DatumName(id), s.Visit(vi).Block*s.RF+r.Inst.Iter(int(ev.Inst))
 			if hooks.OnLoad != nil {
 				if err := hooks.OnLoad(datum, abs, a.SizeByID(id)); err != nil {
 					return fmt.Errorf("load of %s@%d: %w", datum, abs, err)
@@ -228,7 +229,7 @@ func RunWithHooks(s *core.Schedule, seed int64, sem Semantics, hooks *Hooks) (*R
 		// Execute: loop fission order (each kernel runs all the visit's
 		// iterations back to back).
 		Step: func(vi, ki, iter int) error {
-			v := &s.Visits[vi]
+			v := s.Visit(vi)
 			k := a.Kernels[ki]
 			inputs := make(map[string][]byte, len(k.Inputs))
 			for _, id := range a.KernelInputIDs(ki) {
@@ -265,7 +266,7 @@ func RunWithHooks(s *core.Schedule, seed int64, sem Semantics, hooks *Hooks) (*R
 		},
 		// Stores: copy results back to external memory.
 		Stores: func(vi int) error {
-			v := &s.Visits[vi]
+			v := s.Visit(vi)
 			for _, m := range v.Stores {
 				id := a.DatumID(m.Datum)
 				for iter := 0; iter < v.Iters; iter++ {

@@ -18,7 +18,7 @@ func oneIterReport(t *testing.T, data []string, events []core.AllocEvent) *core.
 		b.Datum(d, 8)
 	}
 	b.Kernel("k", 16, 10).In(data[0]).Out(data[1:]...)
-	s := &core.Schedule{P: app.MustPartition(b.MustBuild(), 1, 1), RF: 1, Visits: []core.Visit{{Iters: 1}}}
+	s := core.Schedule{P: app.MustPartition(b.MustBuild(), 1, 1), RF: 1}.WithVisits([]core.Visit{{Iters: 1}})
 	return core.NewAllocationReport(s, events)
 }
 

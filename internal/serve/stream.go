@@ -115,7 +115,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			At:          seg.At,
 			Fingerprint: fmt.Sprintf("%x", seg.Fingerprint),
 			RF:          seg.RF,
-			Visits:      len(seg.Schedule.Visits),
+			Visits:      seg.Schedule.NumVisits(),
 			Reused:      seg.Reused,
 		})
 	}

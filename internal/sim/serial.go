@@ -18,7 +18,7 @@ func RunSerial(s *core.Schedule) (*Result, error) {
 	if err := checkSchedule(s); err != nil {
 		return nil, err
 	}
-	l := newLane(s)
+	l := newLane(s, true)
 	l.oneSet = true
 	return walkOne(l, static, nil), nil
 }
@@ -40,7 +40,7 @@ func OverlapGain(s *core.Schedule) (float64, error) {
 // WriteTimeline renders a per-visit Gantt-style view of the overlapped
 // execution: when each visit computed and how long its transfers took.
 func WriteTimeline(w io.Writer, s *core.Schedule, r *Result) {
-	if len(r.VisitStart) != len(s.Visits) {
+	if len(r.VisitStart) != s.NumVisits() {
 		fmt.Fprintln(w, "timeline: result does not match schedule")
 		return
 	}
@@ -50,8 +50,8 @@ func WriteTimeline(w io.Writer, s *core.Schedule, r *Result) {
 	}
 	const cols = 60
 	fmt.Fprintf(w, "total %d cycles; one column = %d cycles\n", r.TotalCycles, (total+cols-1)/cols)
-	for vi := range s.Visits {
-		v := &s.Visits[vi]
+	for vi := range len(r.VisitStart) {
+		v := s.Visit(vi)
 		start := r.VisitStart[vi] * cols / total
 		end := r.VisitEnd[vi] * cols / total
 		if end <= start {

@@ -16,26 +16,33 @@ import (
 //	v1 (set 1): ctx 16 words (20 cy), load 8 bytes (6 cy), compute 100,
 //	            store 8 bytes (6 cy)
 func handSchedule() *core.Schedule {
-	return &core.Schedule{
+	return core.Schedule{
 		Scheduler: "hand",
 		Arch:      arch.M1(),
-		Visits: []core.Visit{
-			{
-				Cluster: 0, Set: 0, Iters: 1,
-				Loads:         []core.Movement{{Datum: "a", Bytes: 8}},
-				Stores:        []core.Movement{{Datum: "r", Bytes: 8}},
-				CtxWords:      16,
-				ComputeCycles: 100,
-			},
-			{
-				Cluster: 1, Set: 1, Iters: 1,
-				Loads:         []core.Movement{{Datum: "b", Bytes: 8}},
-				Stores:        []core.Movement{{Datum: "s", Bytes: 8}},
-				CtxWords:      16,
-				ComputeCycles: 100,
-			},
+	}.WithVisits([]core.Visit{
+		{
+			Cluster: 0, Set: 0, Iters: 1,
+			Loads:         []core.Movement{{Datum: "a", Bytes: 8}},
+			Stores:        []core.Movement{{Datum: "r", Bytes: 8}},
+			CtxWords:      16,
+			ComputeCycles: 100,
 		},
-	}
+		{
+			Cluster: 1, Set: 1, Iters: 1,
+			Loads:         []core.Movement{{Datum: "b", Bytes: 8}},
+			Stores:        []core.Movement{{Datum: "s", Bytes: 8}},
+			CtxWords:      16,
+			ComputeCycles: 100,
+		},
+	})
+}
+
+// edit returns s rebuilt from the expansion of its visits after f edits
+// it.
+func edit(s *core.Schedule, f func(vs []core.Visit)) *core.Schedule {
+	vs := s.Visits()
+	f(vs)
+	return s.WithVisits(vs)
 }
 
 func TestRunHandTimeline(t *testing.T) {
@@ -79,8 +86,7 @@ func TestRunHandTimeline(t *testing.T) {
 func TestRunSameSetSerializes(t *testing.T) {
 	// Two visits on the SAME set: v1's loads must wait for v0's stores,
 	// which wait for v0's compute. No overlap is possible.
-	s := handSchedule()
-	s.Visits[1].Set = 0
+	s := edit(handSchedule(), func(vs []core.Visit) { vs[1].Set = 0 })
 	res, err := Run(s)
 	if err != nil {
 		t.Fatal(err)
@@ -97,9 +103,10 @@ func TestRunSameSetSerializes(t *testing.T) {
 
 func TestRunTransferBound(t *testing.T) {
 	// Tiny compute: the DMA is the bottleneck and stalls accumulate.
-	s := handSchedule()
-	s.Visits[0].ComputeCycles = 1
-	s.Visits[1].ComputeCycles = 1
+	s := edit(handSchedule(), func(vs []core.Visit) {
+		vs[0].ComputeCycles = 1
+		vs[1].ComputeCycles = 1
+	})
 	res, err := Run(s)
 	if err != nil {
 		t.Fatal(err)
@@ -216,9 +223,10 @@ func TestSchedulerOrdering(t *testing.T) {
 
 func TestCompare(t *testing.T) {
 	s := handSchedule()
-	s2 := handSchedule()
-	s2.Visits[0].CtxWords = 0
-	s2.Visits[1].CtxWords = 0
+	s2 := edit(handSchedule(), func(vs []core.Visit) {
+		vs[0].CtxWords = 0
+		vs[1].CtxWords = 0
+	})
 	base, cand, pct, err := Compare(s, s2)
 	if err != nil {
 		t.Fatal(err)

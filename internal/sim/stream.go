@@ -37,8 +37,8 @@ import (
 	"cds/internal/trace"
 )
 
-// StreamVisit carries one visit's streaming-side inputs, parallel to
-// Schedule.Visits.
+// StreamVisit carries one visit's streaming-side inputs, parallel to the
+// schedule's execution order.
 type StreamVisit struct {
 	// Ready is the earliest cycle the visit's DMA transfers may issue —
 	// its stream segment's arrival time. 0 means known at t=0.
@@ -76,11 +76,11 @@ func RunStreamTraced(s *core.Schedule, rec *trace.Recorder, o StreamOpts) (*Resu
 	if err := checkSchedule(s); err != nil {
 		return nil, err
 	}
-	if o.Visits != nil && len(o.Visits) != len(s.Visits) {
+	if o.Visits != nil && len(o.Visits) != s.NumVisits() {
 		return nil, fmt.Errorf("sim: stream opts carry %d visits, schedule has %d",
-			len(o.Visits), len(s.Visits))
+			len(o.Visits), s.NumVisits())
 	}
-	l := newLane(s)
+	l := newLane(s, true)
 	l.stream = o.Visits
 	pol := online
 	if o.Prefetch {

@@ -88,8 +88,7 @@ func TestRunStreamReadyDelaysIssue(t *testing.T) {
 // context words that no longer fit beside the running working set.
 func TestRunStreamResidencyVetoes(t *testing.T) {
 	t.Run("fb", func(t *testing.T) {
-		s := handSchedule()
-		s.Visits[1].Set = s.Visits[0].Set
+		s := edit(handSchedule(), func(vs []core.Visit) { vs[1].Set = vs[0].Set })
 		res, err := RunStream(s, StreamOpts{Prefetch: true})
 		if err != nil {
 			t.Fatal(err)

@@ -39,7 +39,7 @@ type TenantResult struct {
 	CtxCycles     int
 	StallCycles   int
 	// LaneVisitStart/LaneVisitEnd give each visit's compute interval,
-	// indexed [lane][visit] like the input schedules' Visits.
+	// indexed [lane][visit] like the input schedules' execution order.
 	LaneVisitStart [][]int
 	LaneVisitEnd   [][]int
 	// LaneEnd is the cycle each lane's last compute finished; LaneDone
@@ -121,21 +121,21 @@ func RunTenants(scheds []*core.Schedule, arrive []int, order []TenantSlice) (*Te
 				si, sl.Lane, sl.First, next[sl.Lane])
 		}
 		next[sl.Lane] += sl.N
-		if next[sl.Lane] > len(scheds[sl.Lane].Visits) {
+		if next[sl.Lane] > scheds[sl.Lane].NumVisits() {
 			return nil, fmt.Errorf("sim: slice %d: lane %d overruns its %d visits",
-				si, sl.Lane, len(scheds[sl.Lane].Visits))
+				si, sl.Lane, scheds[sl.Lane].NumVisits())
 		}
 	}
 	for i, n := range next {
-		if n != len(scheds[i].Visits) {
+		if n != scheds[i].NumVisits() {
 			return nil, fmt.Errorf("sim: order covers %d of lane %d's %d visits",
-				n, i, len(scheds[i].Visits))
+				n, i, scheds[i].NumVisits())
 		}
 	}
 
 	lanes := make([]lane, len(scheds))
 	for i, s := range scheds {
-		lanes[i] = newLane(s)
+		lanes[i] = newLane(s, true)
 		lanes[i].arrive = arrive[i]
 	}
 	res := &TenantResult{

@@ -25,14 +25,14 @@ func tenantVisit(cluster, set, ctxWords, compute, loadBytes, storeBytes int) cor
 
 // laneSched wraps visits in a minimal schedule the executor accepts.
 func laneSched(p arch.Params, visits ...core.Visit) *core.Schedule {
-	return &core.Schedule{Scheduler: "test", Arch: p, Visits: visits}
+	return core.Schedule{Scheduler: "test", Arch: p}.WithVisits(visits)
 }
 
 // fullCover emits one slice per visit, in order — the trivial valid order
 // for a single lane.
 func fullCover(lane int, s *core.Schedule) []TenantSlice {
-	out := make([]TenantSlice, len(s.Visits))
-	for i := range s.Visits {
+	out := make([]TenantSlice, s.NumVisits())
+	for i := range out {
 		out[i] = TenantSlice{Lane: lane, First: i, N: 1}
 	}
 	return out
@@ -65,15 +65,15 @@ func TestRunTenantsSingleLaneMatchesRun(t *testing.T) {
 			res.ComputeCycles, res.DataCycles, res.CtxCycles, res.StallCycles,
 			solo.ComputeCycles, solo.DataCycles, solo.CtxCycles, solo.StallCycles)
 	}
-	for vi := range s.Visits {
+	for vi := range s.NumVisits() {
 		if res.LaneVisitStart[0][vi] != solo.VisitStart[vi] || res.LaneVisitEnd[0][vi] != solo.VisitEnd[vi] {
 			t.Errorf("visit %d: [%d,%d), solo [%d,%d)", vi,
 				res.LaneVisitStart[0][vi], res.LaneVisitEnd[0][vi],
 				solo.VisitStart[vi], solo.VisitEnd[vi])
 		}
 	}
-	if res.LaneEnd[0] != solo.VisitEnd[len(s.Visits)-1] {
-		t.Errorf("LaneEnd = %d, want %d", res.LaneEnd[0], solo.VisitEnd[len(s.Visits)-1])
+	if res.LaneEnd[0] != solo.VisitEnd[s.NumVisits()-1] {
+		t.Errorf("LaneEnd = %d, want %d", res.LaneEnd[0], solo.VisitEnd[s.NumVisits()-1])
 	}
 }
 

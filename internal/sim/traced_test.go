@@ -155,8 +155,8 @@ func TestTraceMarksFBSwitches(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 0
-	for vi := 1; vi < len(s.Visits); vi++ {
-		if s.Visits[vi].Set != s.Visits[vi-1].Set {
+	for vi := 1; vi < s.NumVisits(); vi++ {
+		if s.Visit(vi).Set != s.Visit(vi-1).Set {
 			want++
 		}
 	}
@@ -166,7 +166,7 @@ func TestTraceMarksFBSwitches(t *testing.T) {
 			continue
 		}
 		got++
-		if m.Visit <= 0 || m.Visit >= len(s.Visits) {
+		if m.Visit <= 0 || m.Visit >= s.NumVisits() {
 			t.Fatalf("mark visit %d out of range", m.Visit)
 		}
 		if m.Cycle != r.VisitStart[m.Visit] {

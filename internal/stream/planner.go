@@ -216,7 +216,7 @@ func (pl *Planner) Plan(ctx context.Context, lg *Log) (*Plan, error) {
 			plan.Reused++
 		}
 		ents[i], keys[i], hits[i] = ent, key, !ran
-		total += len(ent.sched.Visits)
+		total += ent.sched.NumVisits()
 	}
 	// Pass 2 — stitch: offset each segment's cluster indices to their
 	// global positions and rotate its FB sets so consecutive segments
@@ -230,7 +230,8 @@ func (pl *Planner) Plan(ctx context.Context, lg *Log) (*Plan, error) {
 	for i := range lg.Segments {
 		seg, ent := &lg.Segments[i], ents[i]
 		setOff := clusterOff % pa.FBSets
-		for _, v := range ent.sched.Visits {
+		for vi := range ent.sched.NumVisits() {
+			v := ent.sched.Visit(vi)
 			gv := v
 			gv.Cluster = v.Cluster + clusterOff
 			gv.Set = (v.Set + setOff) % pa.FBSets
@@ -251,12 +252,11 @@ func (pl *Planner) Plan(ctx context.Context, lg *Log) (*Plan, error) {
 		})
 		clusterOff += len(seg.Clusters)
 	}
-	plan.Schedule = &core.Schedule{
+	plan.Schedule = core.Schedule{
 		Scheduler:      "stream",
 		Arch:           pa,
-		Visits:         visits,
 		InPlaceRelease: true,
-	}
+	}.WithVisits(visits)
 	return plan, nil
 }
 
@@ -299,7 +299,7 @@ func (p *Plan) MarshalCanonical() ([]byte, error) {
 		Name:       p.Name,
 		Arch:       p.Arch,
 		Iterations: p.Iterations,
-		Visits:     p.Schedule.Visits,
+		Visits:     p.Schedule.Visits(),
 		Stream:     p.StreamVisits,
 	}
 	for _, s := range p.Segments {

@@ -62,11 +62,11 @@ func TestPlanSingleSegmentMatchesStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Schedule.Visits) != len(static.Visits) {
-		t.Fatalf("stream plan has %d visits, static CDS %d", len(plan.Schedule.Visits), len(static.Visits))
+	if plan.Schedule.NumVisits() != static.NumVisits() {
+		t.Fatalf("stream plan has %d visits, static CDS %d", plan.Schedule.NumVisits(), static.NumVisits())
 	}
-	for i, v := range static.Visits {
-		if got := plan.Schedule.Visits[i]; got.Cluster != v.Cluster || got.Set != v.Set ||
+	for i, v := range static.Visits() {
+		if got := plan.Schedule.Visit(i); got.Cluster != v.Cluster || got.Set != v.Set ||
 			got.CtxWords != v.CtxWords || got.ComputeCycles != v.ComputeCycles {
 			t.Errorf("visit %d differs: stream %+v static %+v", i, got, v)
 		}

@@ -81,7 +81,7 @@ func WriteGanttSVG(w io.Writer, p *Plan) error {
 			ganttMarginL-8, y+ganttLaneH/2+4, ganttLabelSize, svgEscape(label))
 		fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%d" height="%d" fill="#eeeee8"/>`+"\n",
 			ganttMarginL, y, ganttPlotW, ganttLaneH)
-		visits := l.Result.Schedule.Visits
+		visits := l.Result.Schedule.Visits()
 		for vi := range visits {
 			x0 := x(p.Exec.LaneVisitStart[li][vi])
 			x1 := x(p.Exec.LaneVisitEnd[li][vi])

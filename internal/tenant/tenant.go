@@ -304,7 +304,7 @@ func Schedule(ctx context.Context, base arch.Params, tenants []Tenant) (*Plan, e
 // slices decomposes a lane's schedule into maximal same-cluster visit
 // runs, priced by sim.VisitCost under the lane's view.
 func slices(lane int, l *Lane) []Slice {
-	visits := l.Result.Schedule.Visits
+	visits := l.Result.Schedule.Visits()
 	var out []Slice
 	for vi := 0; vi < len(visits); {
 		first, cluster := vi, visits[vi].Cluster

@@ -147,7 +147,10 @@ func TestSoloEquivalenceGolden(t *testing.T) {
 	}
 	// And the detector actually detects: tamper one visit and the audit
 	// must flag the lane as diverged from its solo run.
-	p.Lanes[0].Result.Schedule.Visits[0].ComputeCycles++
+	s := p.Lanes[0].Result.Schedule
+	vs := s.Visits()
+	vs[0].ComputeCycles++
+	p.Lanes[0].Result.Schedule = s.WithVisits(vs)
 	err := SoloEquivalence(context.Background(), p)
 	if err == nil || !errors.Is(err, scherr.ErrVerify) {
 		t.Fatalf("tampered plan passed solo-equivalence (err = %v)", err)

@@ -72,7 +72,7 @@ func MarshalCanonicalSchedule(s *core.Schedule) ([]byte, error) {
 		Scheduler: s.Scheduler,
 		RF:        s.RF,
 		Retained:  s.Retained,
-		Visits:    s.Visits,
+		Visits:    s.Visits(),
 	})
 }
 

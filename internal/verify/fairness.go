@@ -130,7 +130,7 @@ func checkBoundaries(lanes []TenantLane, order []sim.TenantSlice) error {
 		if sl.Lane < 0 || sl.Lane >= len(lanes) {
 			return violated("fairness", "slice %d: lane %d out of range", si, sl.Lane)
 		}
-		visits := lanes[sl.Lane].Schedule.Visits
+		s := lanes[sl.Lane].Schedule
 		if sl.N < 1 {
 			return violated("fairness", "slice %d: empty slice on tenant %q", si, lanes[sl.Lane].ID)
 		}
@@ -138,19 +138,19 @@ func checkBoundaries(lanes []TenantLane, order []sim.TenantSlice) error {
 			return violated("fairness", "slice %d: tenant %q resumes at visit %d, expected %d (out-of-order emission)",
 				si, lanes[sl.Lane].ID, sl.First, next[sl.Lane])
 		}
-		if sl.First+sl.N > len(visits) {
-			return violated("fairness", "slice %d: tenant %q overruns its %d visits", si, lanes[sl.Lane].ID, len(visits))
+		if sl.First+sl.N > s.NumVisits() {
+			return violated("fairness", "slice %d: tenant %q overruns its %d visits", si, lanes[sl.Lane].ID, s.NumVisits())
 		}
-		if sl.First > 0 && visits[sl.First-1].Cluster == visits[sl.First].Cluster {
+		if c := s.Visit(sl.First).Cluster; sl.First > 0 && s.Visit(sl.First-1).Cluster == c {
 			return violated("fairness", "slice %d: tenant %q preempted inside cluster %d (visit %d is not a cluster boundary)",
-				si, lanes[sl.Lane].ID, visits[sl.First].Cluster, sl.First)
+				si, lanes[sl.Lane].ID, c, sl.First)
 		}
 		next[sl.Lane] += sl.N
 	}
 	for i, n := range next {
-		if n != len(lanes[i].Schedule.Visits) {
+		if n != lanes[i].Schedule.NumVisits() {
 			return violated("fairness", "tenant %q: order covers %d of %d visits (starved outright)",
-				lanes[i].ID, n, len(lanes[i].Schedule.Visits))
+				lanes[i].ID, n, lanes[i].Schedule.NumVisits())
 		}
 	}
 	return nil
@@ -161,7 +161,8 @@ func checkBoundaries(lanes []TenantLane, order []sim.TenantSlice) error {
 func sliceCost(l *TenantLane, sl sim.TenantSlice) int {
 	cost := 0
 	for vi := sl.First; vi < sl.First+sl.N; vi++ {
-		cost += sim.VisitCost(l.Schedule.Arch, &l.Schedule.Visits[vi])
+		v := l.Schedule.Visit(vi)
+		cost += sim.VisitCost(l.Schedule.Arch, &v)
 	}
 	return cost
 }
@@ -177,7 +178,7 @@ func checkPriorityAndLag(lanes []TenantLane, order []sim.TenantSlice) error {
 	n := len(lanes)
 	remaining := make([]int, n)
 	for i, l := range lanes {
-		remaining[i] = len(l.Schedule.Visits)
+		remaining[i] = l.Schedule.NumVisits()
 	}
 	costs := make([]int, len(order))
 	maxCost := 0

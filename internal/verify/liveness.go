@@ -32,7 +32,8 @@ func checkLiveness(s *core.Schedule, rep *core.AllocationReport) error {
 	// extWritten[id*ext+abs] marks datum id's result of absolute
 	// iteration abs as stored to external memory.
 	ext := 0
-	for _, v := range s.Visits {
+	for i := range s.NumVisits() {
+		v := s.Visit(i)
 		ext = max(ext, v.Block*s.RF+v.Iters)
 	}
 	extWritten := make([]bool, a.NumData()*ext)
@@ -49,7 +50,7 @@ func checkLiveness(s *core.Schedule, rep *core.AllocationReport) error {
 			// The placement is filled from external memory: the
 			// datum must exist out there.
 			id := r.Inst.Datum(int(ev.Inst))
-			abs := s.Visits[vi].Block*s.RF + r.Inst.Iter(int(ev.Inst))
+			abs := s.Visit(vi).Block*s.RF + r.Inst.Iter(int(ev.Inst))
 			if a.ProducerID(id) >= 0 && !extWritten[int(id)*ext+abs] {
 				return violated("liveness", "visit %d loads %s@%d which was never stored to external memory",
 					vi, a.DatumName(id), abs)
@@ -58,7 +59,7 @@ func checkLiveness(s *core.Schedule, rep *core.AllocationReport) error {
 			return nil
 		},
 		Step: func(vi, ki, iter int) error {
-			v := &s.Visits[vi]
+			v := s.Visit(vi)
 			for _, in := range a.KernelInputIDs(ki) {
 				pk := r.Find(v.Set, r.Inst.Key(in, iter))
 				if pk < 0 {
@@ -81,7 +82,7 @@ func checkLiveness(s *core.Schedule, rep *core.AllocationReport) error {
 			return nil
 		},
 		Stores: func(vi int) error {
-			v := &s.Visits[vi]
+			v := s.Visit(vi)
 			for _, m := range v.Stores {
 				id := a.DatumID(m.Datum)
 				for slot := 0; slot < v.Iters; slot++ {

@@ -17,11 +17,10 @@ import (
 func TestInstanceSlotStrict(t *testing.T) {
 	a := app.NewBuilder("slots", 6).Datum("tile", 8).Datum("out", 8)
 	a.Kernel("k", 16, 10).In("tile").Out("out")
-	s := &core.Schedule{
-		P:      app.MustPartition(a.MustBuild(), 1, 1),
-		RF:     4,
-		Visits: []core.Visit{{Iters: 2}, {Block: 1, Iters: 4}},
-	}
+	s := core.Schedule{
+		P:  app.MustPartition(a.MustBuild(), 1, 1),
+		RF: 4,
+	}.WithVisits([]core.Visit{{Iters: 2}, {Block: 1, Iters: 4}})
 	in := core.InstancesOf(s)
 	tile := int32(s.P.App.DatumID("tile"))
 	check := func(set, key int) error {

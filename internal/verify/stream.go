@@ -49,8 +49,9 @@ func StreamTimeline(s *core.Schedule, o sim.StreamOpts, res *sim.Result, tl *tra
 	if s == nil || res == nil || tl == nil {
 		return violated("prefetch", "nil schedule, result or timeline")
 	}
-	if o.Visits != nil && len(o.Visits) != len(s.Visits) {
-		return violated("prefetch", "stream opts carry %d visits, schedule has %d", len(o.Visits), len(s.Visits))
+	n := s.NumVisits()
+	if o.Visits != nil && len(o.Visits) != n {
+		return violated("prefetch", "stream opts carry %d visits, schedule has %d", len(o.Visits), n)
 	}
 	ready := func(vi int) int {
 		if o.Visits == nil {
@@ -70,9 +71,9 @@ func StreamTimeline(s *core.Schedule, o sim.StreamOpts, res *sim.Result, tl *tra
 		return &Error{Invariant: "prefetch", Err: err}
 	}
 
-	if len(res.VisitStart) != len(s.Visits) || len(res.VisitEnd) != len(s.Visits) {
+	if len(res.VisitStart) != n || len(res.VisitEnd) != n {
 		return violated("prefetch", "result carries %d visit intervals, schedule has %d",
-			len(res.VisitStart), len(s.Visits))
+			len(res.VisitStart), n)
 	}
 
 	prefetchBusy := 0
@@ -81,9 +82,9 @@ func StreamTimeline(s *core.Schedule, o sim.StreamOpts, res *sim.Result, tl *tra
 			continue
 		}
 		vi := sp.Visit
-		if vi < 0 || vi >= len(s.Visits) {
+		if vi < 0 || vi >= n {
 			return violated("prefetch", "span %q [%d,%d) names visit %d of %d",
-				sp.Name, sp.Start, sp.End, vi, len(s.Visits))
+				sp.Name, sp.Start, sp.End, vi, n)
 		}
 		switch sp.Kind {
 		case trace.KindStore:
@@ -120,13 +121,14 @@ func StreamTimeline(s *core.Schedule, o sim.StreamOpts, res *sim.Result, tl *tra
 			return violated("prefetch", "visit %d: prefetch span starts at %d, after the previous compute window ends at %d",
 				vi, sp.Start, res.VisitEnd[vi-1])
 		}
-		if s.Visits[vi].Set == s.Visits[vi-1].Set {
+		v := s.Visit(vi)
+		if v.Set == s.Visit(vi-1).Set {
 			return violated("prefetch", "visit %d: prefetch into FB set %d while visit %d computes out of it",
-				vi, s.Visits[vi].Set, vi-1)
+				vi, v.Set, vi-1)
 		}
-		if s.Visits[vi].CtxWords+groupWords(vi-1) > s.Arch.CMWords {
+		if v.CtxWords+groupWords(vi-1) > s.Arch.CMWords {
 			return violated("prefetch", "visit %d: prefetching %d context words would evict visit %d's %d-word working set (CM holds %d)",
-				vi, s.Visits[vi].CtxWords, vi-1, groupWords(vi-1), s.Arch.CMWords)
+				vi, v.CtxWords, vi-1, groupWords(vi-1), s.Arch.CMWords)
 		}
 	}
 

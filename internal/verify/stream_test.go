@@ -84,7 +84,7 @@ func TestStreamDetectsLateResidency(t *testing.T) {
 
 func TestStreamDetectsEarlyIssue(t *testing.T) {
 	s, _, res, tl := streamFixture(t, false)
-	o := sim.StreamOpts{Visits: make([]sim.StreamVisit, len(s.Visits))}
+	o := sim.StreamOpts{Visits: make([]sim.StreamVisit, s.NumVisits())}
 	// Claim every visit arrived only at cycle 10^9: everything issued
 	// too early.
 	for i := range o.Visits {
@@ -114,7 +114,9 @@ func TestStreamDetectsSameSetPrefetch(t *testing.T) {
 	tampered := false
 	for _, sp := range tl.Spans {
 		if sp.Kind == trace.KindPrefetch {
-			s.Visits[sp.Visit].Set = s.Visits[sp.Visit-1].Set
+			vs := s.Visits()
+			vs[sp.Visit].Set = vs[sp.Visit-1].Set
+			s = s.WithVisits(vs)
 			tampered = true
 			break
 		}
@@ -128,7 +130,7 @@ func TestStreamDetectsSameSetPrefetch(t *testing.T) {
 func TestStreamDetectsCMOverflow(t *testing.T) {
 	s, _, res, tl := streamFixture(t, true)
 	// Declare a working set that leaves no room for any hoisted words.
-	o := sim.StreamOpts{Prefetch: true, Visits: make([]sim.StreamVisit, len(s.Visits))}
+	o := sim.StreamOpts{Prefetch: true, Visits: make([]sim.StreamVisit, s.NumVisits())}
 	for i := range o.Visits {
 		o.Visits[i].GroupWords = s.Arch.CMWords
 	}

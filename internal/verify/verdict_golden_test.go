@@ -65,12 +65,13 @@ func cloneReport(rep *core.AllocationReport) *core.AllocationReport {
 	return &r
 }
 
-// cloneSchedule copies the schedule deep enough to mutate one visit's
-// movement lists (the visits share their backing arrays).
-func cloneSchedule(s *core.Schedule) *core.Schedule {
-	c := *s
-	c.Visits = slices.Clone(s.Visits)
-	return &c
+// editVisit returns s rebuilt from the expansion of its visits after f
+// edits visit vi of it. The visits share their movement lists, so f
+// clones a list before it changes it.
+func editVisit(s *core.Schedule, vi int, f func(v *core.Visit)) *core.Schedule {
+	vs := s.Visits()
+	f(&vs[vi])
+	return s.WithVisits(vs)
 }
 
 // eventsOf returns the indices of the report's events with the given op.
@@ -169,7 +170,7 @@ var scheduleMutations = []struct {
 }{
 	{"drop-store", func(rng *rand.Rand, s *core.Schedule) *core.Schedule {
 		var visits []int
-		for vi, v := range s.Visits {
+		for vi, v := range s.Visits() {
 			if len(v.Stores) > 0 {
 				visits = append(visits, vi)
 			}
@@ -177,23 +178,21 @@ var scheduleMutations = []struct {
 		if len(visits) == 0 {
 			return nil
 		}
-		vi := visits[rng.Intn(len(visits))]
-		c := cloneSchedule(s)
-		v := &c.Visits[vi]
-		j := rng.Intn(len(v.Stores))
-		v.Stores = slices.Delete(slices.Clone(v.Stores), j, j+1)
-		return c
+		return editVisit(s, visits[rng.Intn(len(visits))], func(v *core.Visit) {
+			j := rng.Intn(len(v.Stores))
+			v.Stores = slices.Delete(slices.Clone(v.Stores), j, j+1)
+		})
 	}},
 	{"shrink-fb", func(rng *rand.Rand, s *core.Schedule) *core.Schedule {
-		c := cloneSchedule(s)
+		c := *s
 		c.Arch.FBSetBytes = 1 + rng.Intn(s.Arch.FBSetBytes)
-		return c
+		return &c
 	}},
 	{"drop-ctx-load", func(rng *rand.Rand, s *core.Schedule) *core.Schedule {
 		// Keep CtxWords consistent so the structure family passes and
 		// the contexts' residency is what the checker must catch.
 		var visits []int
-		for vi, v := range s.Visits {
+		for vi, v := range s.Visits() {
 			if len(v.CtxLoads) > 0 {
 				visits = append(visits, vi)
 			}
@@ -201,13 +200,11 @@ var scheduleMutations = []struct {
 		if len(visits) == 0 {
 			return nil
 		}
-		vi := visits[rng.Intn(len(visits))]
-		c := cloneSchedule(s)
-		v := &c.Visits[vi]
-		j := rng.Intn(len(v.CtxLoads))
-		v.CtxWords -= v.CtxLoads[j].Bytes
-		v.CtxLoads = slices.Delete(slices.Clone(v.CtxLoads), j, j+1)
-		return c
+		return editVisit(s, visits[rng.Intn(len(visits))], func(v *core.Visit) {
+			j := rng.Intn(len(v.CtxLoads))
+			v.CtxWords -= v.CtxLoads[j].Bytes
+			v.CtxLoads = slices.Delete(slices.Clone(v.CtxLoads), j, j+1)
+		})
 	}},
 }
 

@@ -3,6 +3,7 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"cds/internal/core"
@@ -108,14 +109,17 @@ func TestNilScheduleRejected(t *testing.T) {
 // family (core.ValidateSchedule) must flag it.
 func TestDetectsVolumeTamper(t *testing.T) {
 	s := mpegCDS(t)
+	vs := s.Visits()
 	tampered := false
-	for vi := range s.Visits {
-		if len(s.Visits[vi].Loads) > 0 {
-			s.Visits[vi].Loads[0].Bytes++
+	for vi := range vs {
+		if len(vs[vi].Loads) > 0 {
+			vs[vi].Loads = slices.Clone(vs[vi].Loads)
+			vs[vi].Loads[0].Bytes++
 			tampered = true
 			break
 		}
 	}
+	s = s.WithVisits(vs)
 	if !tampered {
 		t.Fatal("no visit with loads to tamper")
 	}
@@ -127,15 +131,17 @@ func TestDetectsVolumeTamper(t *testing.T) {
 // then read data that was never brought on chip — a liveness violation.
 func TestDetectsDroppedLoad(t *testing.T) {
 	s := mpegCDS(t)
+	vs := s.Visits()
 	dropped := false
-	for vi := range s.Visits {
-		v := &s.Visits[vi]
+	for vi := range vs {
+		v := &vs[vi]
 		if len(v.Loads) > 0 {
 			v.Loads = v.Loads[1:]
 			dropped = true
 			break
 		}
 	}
+	s = s.WithVisits(vs)
 	if !dropped {
 		t.Fatal("no visit with loads to drop")
 	}
