@@ -49,16 +49,18 @@ func CommonRF(fbSetBytes int, info *extract.Info, inPlace bool, retained []Retai
 // (the last block may be shorter) and returns the per-block iteration
 // counts.
 func blocks(iterations, rf int) []int {
-	if rf < 1 {
-		rf = 1
-	}
-	out := make([]int, 0, (iterations+rf-1)/rf)
-	for done := 0; done < iterations; done += rf {
-		n := rf
-		if iterations-done < n {
-			n = iterations - done
-		}
-		out = append(out, n)
+	rf = max(rf, 1)
+	out := make([]int, numBlocks(iterations, rf))
+	for b := range out {
+		out[b] = blockIters(iterations, rf, b)
 	}
 	return out
 }
+
+// numBlocks returns how many blocks of rf >= 1 iterations the
+// application's iterations split into: full blocks, then a shorter tail
+// block when rf does not divide them.
+func numBlocks(iterations, rf int) int { return (iterations + rf - 1) / rf }
+
+// blockIters returns how many iterations block b runs.
+func blockIters(iterations, rf, b int) int { return min(rf, iterations-b*rf) }
