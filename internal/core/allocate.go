@@ -347,7 +347,7 @@ func allocate(s *Schedule, opts AllocOptions, record bool) (*AllocationReport, e
 			rep.replayed++
 			periodic, moved, splits = !record && allEmpty(fbs), false, totalSplits(fbs)
 		}
-		j, run := per.at(i)
+		j, run := per.At(i)
 		v := per.Visits[j]
 		v.Block += run
 		c := s.Info.Clusters[v.Cluster].Cluster
@@ -466,7 +466,7 @@ func (p *Period) blockEnd(start, n int) int {
 
 // block returns the block of visit i of the execution order.
 func (p *Period) block(i int) int {
-	j, run := p.at(i)
+	j, run := p.At(i)
 	return p.Visits[j].Block + run
 }
 

@@ -20,7 +20,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"slices"
 
 	"cds/internal/app"
 	"cds/internal/arch"
@@ -177,20 +176,17 @@ func (s *Schedule) Period() Period { return s.period }
 // NumVisits returns the number of visits in execution order.
 func (s *Schedule) NumVisits() int {
 	p := &s.period
-	if p.Len == 0 {
-		return len(p.Visits)
-	}
 	return len(p.Visits) + (p.Repeat-1)*p.Len
 }
 
-// at maps visit i of the execution order to its index in Visits and the
-// number of steady runs before it within the steady blocks.
-func (p *Period) at(i int) (int, int) {
-	if p.Len == 0 || i < p.Lead {
+// At maps visit i of the execution order to its index in Visits and the
+// number of steady runs before it within the steady blocks: the visit is
+// Visits[j] with its block number advanced by that count.
+func (p *Period) At(i int) (int, int) {
+	if i < p.Lead {
 		return i, 0
 	}
-	j := i - p.Lead
-	if j < p.Repeat*p.Len {
+	if j := i - p.Lead; j < p.Repeat*p.Len {
 		return p.Lead + j%p.Len, j / p.Len
 	}
 	return i - (p.Repeat-1)*p.Len, 0
@@ -198,7 +194,7 @@ func (p *Period) at(i int) (int, int) {
 
 // Visit returns visit i of the execution order, 0 <= i < NumVisits().
 func (s *Schedule) Visit(i int) Visit {
-	j, k := s.period.at(i)
+	j, k := s.period.At(i)
 	v := s.period.Visits[j]
 	v.Block += k
 	return v
@@ -208,9 +204,6 @@ func (s *Schedule) Visit(i int) Visit {
 // share the period's movement lists.
 func (s *Schedule) Visits() []Visit {
 	p := &s.period
-	if p.Len == 0 {
-		return slices.Clone(p.Visits)
-	}
 	out := make([]Visit, 0, s.NumVisits())
 	out = append(out, p.Visits[:p.Lead]...)
 	steady := p.Visits[p.Lead : p.Lead+p.Len]
@@ -246,14 +239,11 @@ func (s *Schedule) sum(f func(*Visit) int) int {
 	for i := range p.Visits {
 		n += f(&p.Visits[i])
 	}
-	if p.Len > 0 && p.Repeat > 1 {
-		steady := 0
-		for i := p.Lead; i < p.Lead+p.Len; i++ {
-			steady += f(&p.Visits[i])
-		}
-		n += (p.Repeat - 1) * steady
+	steady := 0
+	for i := p.Lead; i < p.Lead+p.Len; i++ {
+		steady += f(&p.Visits[i])
 	}
-	return n
+	return n + (p.Repeat-1)*steady
 }
 
 // TotalLoadBytes returns the external-memory data bytes loaded across the

@@ -1,11 +1,15 @@
 package csched
 
 import (
+	"fmt"
 	"testing"
 
 	"cds/internal/app"
 	"cds/internal/arch"
 	"cds/internal/core"
+	"cds/internal/sim"
+	"cds/internal/trace"
+	"cds/internal/workloads"
 )
 
 func testSchedule(t *testing.T, fb, cm, computeCycles int) *core.Schedule {
@@ -133,4 +137,59 @@ func TestOverlapRatioEmptyPlan(t *testing.T) {
 	if p.OverlapRatio() != 1 {
 		t.Error("empty plan should report full overlap")
 	}
+}
+
+// makespan scores a reuse factor candidate by its simulated makespan,
+// the RF guard of the cds facade.
+func makespan(s *core.Schedule) (int, error) {
+	r, err := sim.Run(s)
+	if err != nil {
+		return 0, err
+	}
+	return r.TotalCycles, nil
+}
+
+// TestPlanMatchesMachineModel: over Basic, DS and CDS of Table 1 and
+// GenSpec(1, 0..543), the plan's exposed context cycles are the context
+// share of the traced timeline's critical path, and every visit's
+// context cycles split into exposed and overlapped.
+func TestPlanMatchesMachineModel(t *testing.T) {
+	inputs := workloads.All()
+	for i := 0; i < 544; i++ {
+		part, p, err := workloads.GenSpec(1, i).Build()
+		if err != nil {
+			t.Fatalf("GenSpec(1, %d): %v", i, err)
+		}
+		inputs = append(inputs, workloads.Experiment{Name: fmt.Sprintf("spec/%03d", i), Arch: p, Part: part})
+	}
+	n := 0
+	for _, e := range inputs {
+		for _, sched := range []core.Scheduler{core.Basic{}, core.DataScheduler{Eval: makespan},
+			core.CompleteDataScheduler{Eval: makespan}} {
+			s, err := sched.Schedule(e.Arch, e.Part)
+			if err != nil {
+				continue
+			}
+			n++
+			plan, err := Build(s)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", e.Name, s.Scheduler, err)
+			}
+			_, tl, err := sim.Trace(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := trace.Analyze(tl).Path.ExposedCtx; plan.ExposedCycles != want {
+				t.Errorf("%s/%s: plan exposes %d context cycles, the timeline %d",
+					e.Name, s.Scheduler, plan.ExposedCycles, want)
+			}
+			for _, vp := range plan.Visits {
+				if vp.ExposedCycles+vp.OverlappedCycles != vp.Cycles || vp.OverlappedCycles < 0 {
+					t.Fatalf("%s/%s: visit %d: %d exposed + %d overlapped != %d cycles",
+						e.Name, s.Scheduler, vp.Visit, vp.ExposedCycles, vp.OverlappedCycles, vp.Cycles)
+				}
+			}
+		}
+	}
+	t.Logf("%d schedules", n)
 }

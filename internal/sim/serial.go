@@ -18,7 +18,7 @@ func RunSerial(s *core.Schedule) (*Result, error) {
 	if err := checkSchedule(s); err != nil {
 		return nil, err
 	}
-	l := newLane(s, true)
+	l := newLane(s)
 	l.oneSet = true
 	return walkOne(l, static, nil), nil
 }

@@ -80,7 +80,7 @@ func RunStreamTraced(s *core.Schedule, rec *trace.Recorder, o StreamOpts) (*Resu
 		return nil, fmt.Errorf("sim: stream opts carry %d visits, schedule has %d",
 			len(o.Visits), s.NumVisits())
 	}
-	l := newLane(s, true)
+	l := newLane(s)
 	l.stream = o.Visits
 	pol := online
 	if o.Prefetch {

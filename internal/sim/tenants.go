@@ -135,7 +135,7 @@ func RunTenants(scheds []*core.Schedule, arrive []int, order []TenantSlice) (*Te
 
 	lanes := make([]lane, len(scheds))
 	for i, s := range scheds {
-		lanes[i] = newLane(s, true)
+		lanes[i] = newLane(s)
 		lanes[i].arrive = arrive[i]
 	}
 	res := &TenantResult{
