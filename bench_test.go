@@ -115,7 +115,7 @@ func BenchmarkFigure5Allocation(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(rep.Splits), "splits")
-	b.ReportMetric(float64(len(rec.Events)), "events")
+	b.ReportMetric(float64(rec.NumEvents()), "events")
 	if !rep.Regular {
 		b.Fatal("allocation lost regularity")
 	}

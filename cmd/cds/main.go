@@ -271,7 +271,8 @@ func printSummary(res *cds.Result, pa arch.Params) {
 // Figure 5 style timeline.
 func printTrace(rep *core.AllocationReport) {
 	fmt.Println("allocation timeline (block 0):")
-	for _, ev := range rep.Events {
+	for i := range rep.NumEvents() {
+		ev := rep.Event(i)
 		if ev.Block != 0 {
 			break
 		}

@@ -166,7 +166,7 @@ func TestCachedReportNamesConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Events) == 0 {
+	if rep.NumEvents() == 0 {
 		t.Fatal("no allocation events")
 	}
 
@@ -177,7 +177,8 @@ func TestCachedReportNamesConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, ev := range rep.Events {
+			for i := range rep.NumEvents() {
+				ev := rep.Event(i)
 				names[g] = append(names[g], rep.Object(ev)+" "+rep.DatumName(ev))
 			}
 		}()
@@ -188,7 +189,8 @@ func TestCachedReportNamesConcurrently(t *testing.T) {
 			t.Fatalf("reader %d named the events differently from reader 0", g)
 		}
 	}
-	for i, ev := range rep.Events {
+	for i := range rep.NumEvents() {
+		ev := rep.Event(i)
 		datum, iter, ok := core.ParseInstance(rep.Object(ev))
 		if !ok || datum != rep.DatumName(ev) {
 			t.Fatalf("event %d: object %q does not name datum %q", i, rep.Object(ev), rep.DatumName(ev))

@@ -56,9 +56,19 @@ type AllocEvent struct {
 // AllocationReport summarizes the full allocation replay of a schedule.
 // Allocate fills a summary report, which keeps no event log;
 // AllocateWithOptions fills a recorded one.
+//
+// A recorded report stores its events as a period, as a schedule stores
+// its visits (EventPeriod): the replay of a steady run that leaves every
+// Frame Buffer set empty and every remembered address in place repeats
+// in each later run, shifted by one block per run. NumEvents and Event
+// read the replay order it stands for; every reader of the events goes
+// through them (or through VisitEvents, Replay and EventPeriod.At).
 type AllocationReport struct {
-	// Events lists every alloc/release in replay order. It is nil in a
-	// summary report (Allocate).
+	// Events lists the stored events: the leading events, one steady
+	// run's and the trailing events (EventPeriod), in replay order. A
+	// report of a schedule without a steady block, or one built by
+	// NewAllocationReport, stores every event. It is nil in a summary
+	// report (Allocate).
 	Events []AllocEvent
 	// PeakUsed gives the high-water occupancy of each FB set.
 	PeakUsed map[int]int
@@ -76,11 +86,85 @@ type AllocationReport struct {
 	// report without names (not built by Allocate or
 	// NewAllocationReport) names no instance. summary marks a report
 	// whose replay kept no event log, so its nil Events is not an empty
-	// log. replayed counts the blocks the replay walked.
+	// log. replayed counts the blocks the replay walked. evp is the
+	// stored form of Events, nil when Events is the whole replay; a
+	// pointer, so that a summary report stays as small as it was.
 	inst     Instances
 	names    *instanceNames
+	evp      *EventPeriod
+	replayed int32
 	summary  bool
-	replayed int
+}
+
+// wholeReplay is the stored form of a report that stores every event.
+var wholeReplay EventPeriod
+
+// EventPeriod is the stored form of a recorded report's events. Events
+// lists the Lead leading events, one steady run of Len events starting at
+// Lead and the trailing events. The steady run is the replay of the
+// Visits visits that start at visit First of the execution order (one run
+// of the schedule's steady block); it runs Repeat times in a row, its
+// k-th run numbering its events' blocks Block+k and covering the visits
+// from First+k*Visits on. The zero EventPeriod means Events is the whole
+// replay.
+type EventPeriod struct {
+	Lead, Len, Repeat int
+	First, Visits     int
+}
+
+// At maps event i of the replay order to its index in Events and its
+// steady run: the event is Events[j] with its block advanced by that
+// count.
+func (p *EventPeriod) At(i int) (int, int) { return periodAt(i, p.Lead, p.Len, p.Repeat) }
+
+// EventPeriod returns the stored form of the report's events.
+func (r *AllocationReport) EventPeriod() EventPeriod { return *r.period() }
+
+// period returns the stored form of the report's events.
+func (r *AllocationReport) period() *EventPeriod {
+	if r.evp == nil {
+		return &wholeReplay
+	}
+	return r.evp
+}
+
+// NumEvents returns the number of events in replay order.
+func (r *AllocationReport) NumEvents() int {
+	p := r.period()
+	return len(r.Events) + (p.Repeat-1)*p.Len
+}
+
+// Event returns event i of the replay order, 0 <= i < NumEvents().
+func (r *AllocationReport) Event(i int) AllocEvent {
+	j, k := r.period().At(i)
+	ev := r.Events[j]
+	ev.Block += k
+	return ev
+}
+
+// VisitEvents locates the events of the visit of the given cluster and
+// block whose run starts at event first of the replay order. They are
+// Events[j : j+end-first], as stored (their blocks not advanced to the
+// visit's run), and end is the replay index just past them. The run is
+// empty when event first belongs to another visit.
+func (r *AllocationReport) VisitEvents(first, cluster, block int) (j, end int) {
+	p := r.period()
+	if first >= r.NumEvents() {
+		return len(r.Events), first
+	}
+	j, k := p.At(first)
+	// stop bounds the stored part that holds event first.
+	stop := len(r.Events)
+	if j < p.Lead {
+		stop = p.Lead
+	} else if j < p.Lead+p.Len {
+		stop = p.Lead + p.Len
+	}
+	n := j
+	for n < stop && r.Events[n].Block+k == block && r.Events[n].Cluster == cluster {
+		n++
+	}
+	return j, first + n - j
 }
 
 // CheckRecorded returns an error for a summary report (Allocate), whose
@@ -161,11 +245,12 @@ type eventJSON struct {
 	Kernel               int
 }
 
-// MarshalJSON encodes the report with each event's Object and Datum
-// names.
+// MarshalJSON encodes the report with each event of the replay order and
+// its Object and Datum names.
 func (r *AllocationReport) MarshalJSON() ([]byte, error) {
-	events := make([]eventJSON, len(r.Events))
-	for i, ev := range r.Events {
+	events := make([]eventJSON, r.NumEvents())
+	for i := range events {
+		ev := r.Event(i)
 		e := eventJSON{Op: ev.Op, Set: ev.Set, Object: r.Object(ev), Addr: ev.Addr, Bytes: ev.Bytes,
 			Split: ev.Split, Cluster: ev.Cluster, Block: ev.Block, Iter: ev.Iter, Kernel: ev.Kernel}
 		if ev.Op == OpAlloc {
@@ -259,8 +344,20 @@ func allocate(s *Schedule, opts AllocOptions, record bool) (*AllocationReport, e
 	if err != nil {
 		return rep, err
 	}
+	per := &s.period
 	if record {
-		nAllocs := s.sum(func(v *Visit) int { return v.Iters * plans[v.Cluster].allocsPerIter })
+		// The recording stores the stored visits' events and mostly
+		// one steady run more: a block that remembers its first
+		// addresses is not yet the period.
+		nAllocs := 0
+		for i := range per.Visits {
+			v := &per.Visits[i]
+			n := v.Iters * plans[v.Cluster].allocsPerIter
+			if per.Lead <= i && i < per.Lead+per.Len {
+				n *= min(per.Repeat, 2)
+			}
+			nAllocs += n
+		}
 		if nAllocs > 0 {
 			// Every placement is released exactly once (the leak
 			// check below), so twice the placement bound bounds the
@@ -331,21 +428,22 @@ func allocate(s *Schedule, opts AllocOptions, record bool) (*AllocationReport, e
 		return nil
 	}
 
-	// Loop fission runs the same visits in every RF block. A summary
-	// stops at the replay's period: a steady block that starts and ends
+	// Loop fission runs the same visits in every RF block. The replay
+	// stops at its period: a steady run (one block) that starts and ends
 	// with every set empty and remembers no new address leaves the
 	// replay state as it found it, so each following run of the steady
-	// block would repeat it exactly, splits included. The recording
-	// walks every block for its events. start and end bound the current
-	// block; splits counts the splits made before it.
-	per := &s.period
+	// block would repeat it exactly, splits included, its events
+	// shifted by one block per run. A recording stores that run's
+	// events once with the count of runs (EventPeriod). start and end
+	// bound the current block; splits counts the splits made before it
+	// and mark the events recorded before it.
 	steadyEnd := per.Lead + per.Repeat*per.Len
-	skippedSplits, start, end, splits, periodic := 0, 0, 0, 0, false
+	skippedSplits, start, end, splits, mark, periodic := 0, 0, 0, 0, 0, false
 	for i, nv := 0, s.NumVisits(); i < nv; i++ {
 		if i == end {
 			start, end = i, per.blockEnd(i, nv)
 			rep.replayed++
-			periodic, moved, splits = !record && allEmpty(fbs), false, totalSplits(fbs)
+			periodic, moved, splits, mark = allEmpty(fbs), false, totalSplits(fbs), len(rep.Events)
 		}
 		j, run := per.At(i)
 		v := per.Visits[j]
@@ -427,9 +525,14 @@ func allocate(s *Schedule, opts AllocOptions, record bool) (*AllocationReport, e
 				c.Index, v.Block, err)
 		}
 
-		if i+1 == end && periodic && !moved && allEmpty(fbs) &&
-			per.Len > 0 && start >= per.Lead && end < steadyEnd && (steadyEnd-end)%per.Len == 0 {
-			skippedSplits += (totalSplits(fbs) - splits) * ((steadyEnd - end) / per.Len)
+		if i+1 == end && periodic && !moved && allEmpty(fbs) && per.Len > 0 &&
+			start >= per.Lead && end-start == per.Len && end < steadyEnd && (steadyEnd-end)%per.Len == 0 {
+			runs := (steadyEnd - end) / per.Len
+			skippedSplits += (totalSplits(fbs) - splits) * runs
+			if record {
+				rep.evp = &EventPeriod{Lead: mark, Len: len(rep.Events) - mark, Repeat: runs + 1,
+					First: start, Visits: per.Len}
+			}
 			i, end = steadyEnd-1, steadyEnd
 		}
 	}

@@ -34,13 +34,14 @@ func TestAllocateCDSPipe(t *testing.T) {
 			t.Errorf("set %d peak = %d exceeds FB size 360", set, peak)
 		}
 	}
-	if len(rep.Events) == 0 {
+	if rep.NumEvents() == 0 {
 		t.Fatal("no allocation events recorded")
 	}
 	// Every alloc is matched by a release (the Allocate leak check
 	// passed), and counts must be even and balanced.
 	allocs, releases := 0, 0
-	for _, ev := range rep.Events {
+	for i := range rep.NumEvents() {
+		ev := rep.Event(i)
 		switch ev.Op {
 		case OpAlloc:
 			allocs++
@@ -110,7 +111,8 @@ func TestAllocateSharedOnTopResultsOnBottom(t *testing.T) {
 	// inA (retained shared datum) must sit above out2 (final result) on
 	// set 0, and rB (retained shared result) must also go to the top.
 	var inAAddr, out2Addr, rBAddr = -1, -1, -1
-	for _, ev := range rep.Events {
+	for i := range rep.NumEvents() {
+		ev := rep.Event(i)
 		if ev.Op != OpAlloc || ev.Set != 0 {
 			continue
 		}
@@ -168,7 +170,8 @@ func TestAllocateRegularAcrossBlocks(t *testing.T) {
 		inst         int32
 	}
 	addrs := map[key]int{}
-	for _, ev := range rep.Events {
+	for i := range rep.NumEvents() {
+		ev := rep.Event(i)
 		if ev.Op != OpAlloc {
 			continue
 		}

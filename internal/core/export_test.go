@@ -52,7 +52,7 @@ func GuardCandidates(sched Scheduler, pa arch.Params, part *app.Partition) ([]Gu
 }
 
 // ReplayedBlocks returns the number of blocks r's replay walked.
-func ReplayedBlocks(r *AllocationReport) int { return r.replayed }
+func ReplayedBlocks(r *AllocationReport) int { return int(r.replayed) }
 
 // WithPeriod returns a copy of s whose visits are stored as per, for
 // tests that build a period by hand.

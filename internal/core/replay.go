@@ -19,9 +19,11 @@ type Replay struct {
 	Inst Instances
 	// Sets is one more than the largest set a visit or event names.
 	Sets int
-	// live[set*Inst.Len()+key] is the index of the event that placed
-	// the instance on the set, or -1.
-	live []int32
+	// live[set*Inst.Len()+key] is the stored index (into the report's
+	// Events) of the event that placed the instance on the set, or -1;
+	// nLive counts the placed instances.
+	live  []int32
+	nLive int
 }
 
 // ReplayHooks are the walk's callbacks, all required. A hook's error
@@ -52,6 +54,7 @@ func NewReplay(s *Schedule, rep *AllocationReport) (*Replay, error) {
 	for _, v := range s.period.Visits {
 		sets = max(sets, v.Set)
 	}
+	// The report stores every event's set.
 	for _, ev := range rep.Events {
 		sets = max(sets, ev.Set)
 	}
@@ -90,29 +93,61 @@ func (r *Replay) Find(set, key int) int {
 // Placed returns the event that placed the instance live at slot.
 func (r *Replay) Placed(slot int) *AllocEvent { return &r.rep.Events[r.live[slot]] }
 
-// Walk replays the events in execution order and calls the hooks. It
-// fails on an event whose instance is not one of its visit's iterations,
-// on a step event out of execution order and on an event after the last
-// visit's run. Its own errors carry no package prefix.
-func (r *Replay) Walk(h ReplayHooks) error {
-	s, events := r.s, r.rep.Events
+// Walk replays the events in execution order and calls the hooks, for
+// every visit. It fails on an event whose instance is not one of its
+// visit's iterations, on a step event out of execution order and on an
+// event after the last visit's run. Its own errors carry no package
+// prefix. The visit and event indices it reports, and the visit indices
+// it passes the hooks, are those of the execution and replay orders.
+func (r *Replay) Walk(h ReplayHooks) error { return r.walk(h, false) }
+
+// WalkPeriod is Walk over the report's period (EventPeriod): it walks the
+// leading visits, the steady run, and the trailing visits. When no
+// instance is placed at either end of the steady run, the live table is
+// the same at both, so each later run would replay it exactly with the
+// same events: those runs are not walked. Otherwise every run is walked.
+// It is for hooks whose own state is empty whenever the live table is
+// and which do not read their visits' blocks across runs.
+func (r *Replay) WalkPeriod(h ReplayHooks) error { return r.walk(h, true) }
+
+// walk is Walk, and WalkPeriod when period is set.
+func (r *Replay) walk(h ReplayHooks, period bool) error {
+	s := r.s
 	a := s.P.App
 	r.live = make([]int32, r.Slots())
 	for i := range r.live {
 		r.live[i] = -1
+	}
+	r.nLive = 0
+	p := r.rep.period()
+	// runEnd is the visit that ends the stored steady run; liveAt the
+	// placed instances at its start.
+	runEnd, liveAt := -1, 0
+	if period && p.Repeat > 1 {
+		runEnd = p.First + p.Visits
 	}
 
 	// loading[id] == vi+1 marks a datum visit vi loads.
 	loading := make([]int32, a.NumData())
 
 	end := 0
-	for vi := range s.NumVisits() {
+	for vi, nv := 0, s.NumVisits(); vi < nv; vi++ {
+		if vi == p.First {
+			liveAt = r.nLive
+		}
+		if vi == runEnd && end == p.Lead+p.Len && liveAt == 0 && r.nLive == 0 {
+			vi += (p.Repeat - 1) * p.Visits
+			end += (p.Repeat - 1) * p.Len
+			if vi == nv {
+				break
+			}
+		}
 		v := s.Visit(vi)
 		first := end
-		for end < len(events) && events[end].Block == v.Block && events[end].Cluster == v.Cluster {
-			end++
-		}
-		run := events[first:end]
+		// The visit's events are stored from Events[stored] on.
+		j, e := r.rep.VisitEvents(first, v.Cluster, v.Block)
+		run, stored := r.rep.Events[j:j+e-first], int32(j)
+		end = e
 		stamp := int32(vi + 1)
 		for _, m := range v.Loads {
 			if id := a.DatumID(m.Datum); id >= 0 {
@@ -129,9 +164,15 @@ func (r *Replay) Walk(h ReplayHooks) error {
 			}
 			load := false
 			if ev.Op == OpAlloc {
-				r.live[slot] = int32(first + i)
+				if r.live[slot] < 0 {
+					r.nLive++
+				}
+				r.live[slot] = stored + int32(i)
 				load = loading[r.Inst.Datum(int(ev.Inst))] == stamp
 			} else {
+				if r.live[slot] >= 0 {
+					r.nLive--
+				}
 				r.live[slot] = -1
 			}
 			return h.Event(vi, slot, ev, load)
@@ -195,10 +236,10 @@ func (r *Replay) Walk(h ReplayHooks) error {
 			}
 		}
 	}
-	if end < len(events) {
-		ev := &events[end]
+	if end < r.rep.NumEvents() {
+		ev := r.rep.Event(end)
 		return fmt.Errorf("event %d (%s of %q, cluster %d block %d) belongs to no visit in execution order",
-			end, ev.Op, r.rep.Object(*ev), ev.Cluster, ev.Block)
+			end, ev.Op, r.rep.Object(ev), ev.Cluster, ev.Block)
 	}
 	return nil
 }

@@ -153,7 +153,7 @@ func (c CompleteDataScheduler) opts() scheduleOpts {
 // selected at that RF, with the least DMA traffic (the common-RF
 // ablation); it never fails.
 func DMACost(s *Schedule) (int, error) {
-	data := s.sum(func(v *Visit) int { return dataCycles(s.Arch, v.Loads) + dataCycles(s.Arch, v.Stores) })
+	data := s.Sum(func(v *Visit) int { return dataCycles(s.Arch, v.Loads) + dataCycles(s.Arch, v.Stores) })
 	return s.Arch.ContextCycles(s.TotalCtxWords()) + data, nil
 }
 

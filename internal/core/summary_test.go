@@ -43,14 +43,15 @@ func corpusSchedules(t *testing.T, n int) (keys []string, scheds map[string]*cor
 }
 
 // TestSummaryMatchesRecording: Allocate is the recording replay without
-// its event log, stopped at its period. On every corpus schedule, and on
-// its ragged copy whose remembered addresses collide, with splitting on
+// its event log; both stop at their period. On every corpus schedule, and
+// on its ragged copy whose remembered addresses collide, with splitting on
 // and off, both forms agree on the peaks, the splits, the regularity and
-// the error text, and Allocate keeps no events. The recording walks every
-// block; the summary skips most of the corpus's.
+// the error text, Allocate keeps no events, and the recording's events
+// read in replay order are those of the expansion's recording. Both
+// replays skip most of the corpus's blocks.
 func TestSummaryMatchesRecording(t *testing.T) {
 	keys, scheds := corpusSchedules(t, 544)
-	errs, irregular, splits, blocks, replayed := 0, 0, 0, 0, 0
+	errs, irregular, splits, blocks, replayed, recorded := 0, 0, 0, 0, 0, 0
 	for _, key := range keys {
 		for _, variant := range []string{"", "/ragged"} {
 			s := scheds[key]
@@ -70,8 +71,9 @@ func TestSummaryMatchesRecording(t *testing.T) {
 				if rec.Splits > 0 {
 					splits++
 				}
-				blocks += core.ReplayedBlocks(rec)
+				blocks += s.NumVisits() / len(s.P.Clusters)
 				replayed += core.ReplayedBlocks(sum)
+				recorded += core.ReplayedBlocks(rec)
 			}
 		}
 	}
@@ -80,21 +82,43 @@ func TestSummaryMatchesRecording(t *testing.T) {
 	if errs == 0 || irregular == 0 || splits == 0 {
 		t.Errorf("corpus exercised %d failed, %d irregular and %d split replays; want all nonzero", errs, irregular, splits)
 	}
-	t.Logf("summaries replayed %d of %d blocks", replayed, blocks)
-	if replayed*2 > blocks {
-		t.Errorf("summaries replayed %d of %d blocks; want under half", replayed, blocks)
+	t.Logf("summaries replayed %d and recordings %d of %d blocks", replayed, recorded, blocks)
+	if replayed*2 > blocks || recorded*2 > blocks {
+		t.Errorf("summaries replayed %d and recordings %d of %d blocks; want each under half", replayed, recorded, blocks)
 	}
 }
 
 // compareReplays replays s in both forms and fails unless they agree on
-// the peaks, the splits, the regularity and the error text. It returns
-// the two reports, or a nil recording when the replay failed.
+// the peaks, the splits, the regularity and the error text, and the
+// recording reads as the recording of s's expansion, event for event. It
+// returns the two reports, or a nil recording when the replay failed.
 func compareReplays(t *testing.T, name string, s *core.Schedule, split bool) (sum, rec *core.AllocationReport) {
 	t.Helper()
 	sum, serr := core.Allocate(s, split)
 	rec, rerr := core.AllocateWithOptions(s, core.AllocOptions{AllowSplit: split})
 	if fmt.Sprint(serr) != fmt.Sprint(rerr) {
 		t.Fatalf("%s: summary error %v, recording error %v", name, serr, rerr)
+	}
+	full, ferr := core.AllocateWithOptions(s.WithVisits(s.Visits()), core.AllocOptions{AllowSplit: split})
+	if fmt.Sprint(ferr) != fmt.Sprint(rerr) {
+		t.Fatalf("%s: recording error %v, the expansion's %v", name, rerr, ferr)
+	}
+	if rerr == nil {
+		if p := full.EventPeriod(); p.Repeat != 0 || full.NumEvents() != len(full.Events) {
+			t.Fatalf("%s: the expansion's recording stores %d of %d events as a period %+v", name, len(full.Events), full.NumEvents(), p)
+		}
+		if rec.NumEvents() != full.NumEvents() {
+			t.Fatalf("%s: recording has %d events, the expansion's %d", name, rec.NumEvents(), full.NumEvents())
+		}
+		for i := range rec.NumEvents() {
+			if rec.Event(i) != full.Events[i] {
+				t.Fatalf("%s: event %d is %+v, the expansion's %+v", name, i, rec.Event(i), full.Events[i])
+			}
+		}
+		if rec.Splits != full.Splits || !slices.Equal(rec.IrregularObjects, full.IrregularObjects) {
+			t.Fatalf("%s: recording splits %d, irregular %v; the expansion's %d, %v", name,
+				rec.Splits, rec.IrregularObjects, full.Splits, full.IrregularObjects)
+		}
 	}
 	if sum.Events != nil {
 		t.Fatalf("%s: summary keeps %d events", name, len(sum.Events))
@@ -128,14 +152,20 @@ func mpegCDS(t *testing.T) *core.Schedule {
 
 // TestSummaryStopsAtThePeriod: the stock MPEG CDS replay repeats from
 // block 1, and 30 iterations leave no shorter tail block, so the summary
-// walks blocks 0 and 1 only.
+// and the recording walk blocks 0 and 1 only. The recording stores block
+// 0's events and block 1's, which run fourteen times.
 func TestSummaryStopsAtThePeriod(t *testing.T) {
-	sum, rec := compareReplays(t, "MPEG/cds", mpegCDS(t), true)
+	s := mpegCDS(t)
+	sum, rec := compareReplays(t, "MPEG/cds", s, true)
 	if got := core.ReplayedBlocks(sum); got != 2 {
 		t.Errorf("summary replayed %d blocks, want 2", got)
 	}
-	if got := core.ReplayedBlocks(rec); got != 15 {
-		t.Errorf("recording replayed %d blocks, want 15", got)
+	if got := core.ReplayedBlocks(rec); got != 2 {
+		t.Errorf("recording replayed %d blocks, want 2", got)
+	}
+	p := rec.EventPeriod()
+	if nc := len(s.P.Clusters); p.Repeat != 14 || p.Lead+p.Len != len(rec.Events) || p.First != nc || p.Visits != nc {
+		t.Errorf("recording stores %d events as %+v; want block 0 leading and block 1 steady for 14 runs", len(rec.Events), p)
 	}
 }
 
@@ -207,8 +237,8 @@ func TestSummaryCountsSkippedSplits(t *testing.T) {
 			continue
 		}
 		perBlock := map[int]int{}
-		for _, ev := range rec.Events {
-			if ev.Op == core.OpAlloc && ev.Split {
+		for i := range rec.NumEvents() {
+			if ev := rec.Event(i); ev.Op == core.OpAlloc && ev.Split {
 				perBlock[ev.Block]++
 			}
 		}

@@ -182,14 +182,19 @@ func (s *Schedule) NumVisits() int {
 // At maps visit i of the execution order to its index in Visits and the
 // number of steady runs before it within the steady blocks: the visit is
 // Visits[j] with its block number advanced by that count.
-func (p *Period) At(i int) (int, int) {
-	if i < p.Lead {
+func (p *Period) At(i int) (int, int) { return periodAt(i, p.Lead, p.Len, p.Repeat) }
+
+// periodAt maps item i of an execution order to its stored index and its
+// steady run, for a stored list of lead leading items, one steady run of
+// n items repeated repeat times, and the trailing items.
+func periodAt(i, lead, n, repeat int) (int, int) {
+	if i < lead {
 		return i, 0
 	}
-	if j := i - p.Lead; j < p.Repeat*p.Len {
-		return p.Lead + j%p.Len, j / p.Len
+	if j := i - lead; j < repeat*n {
+		return lead + j%n, j / n
 	}
-	return i - (p.Repeat-1)*p.Len, 0
+	return i - (repeat-1)*n, 0
 }
 
 // Visit returns visit i of the execution order, 0 <= i < NumVisits().
@@ -231,9 +236,9 @@ func (s Schedule) MarshalJSON() ([]byte, error) {
 	}{s.Scheduler, s.Arch, s.P, s.Info, s.RF, s.Retained, s.Visits(), s.InPlaceRelease})
 }
 
-// sum returns f summed over every visit of the execution order: the
+// Sum returns f summed over every visit of the execution order: the
 // steady block counts Repeat times.
-func (s *Schedule) sum(f func(*Visit) int) int {
+func (s *Schedule) Sum(f func(*Visit) int) int {
 	p := &s.period
 	n := 0
 	for i := range p.Visits {
@@ -249,25 +254,25 @@ func (s *Schedule) sum(f func(*Visit) int) int {
 // TotalLoadBytes returns the external-memory data bytes loaded across the
 // whole schedule.
 func (s *Schedule) TotalLoadBytes() int {
-	return s.sum(func(v *Visit) int { return v.LoadBytes() })
+	return s.Sum(func(v *Visit) int { return v.LoadBytes() })
 }
 
 // TotalStoreBytes returns the external-memory data bytes stored across
 // the whole schedule.
 func (s *Schedule) TotalStoreBytes() int {
-	return s.sum(func(v *Visit) int { return v.StoreBytes() })
+	return s.Sum(func(v *Visit) int { return v.StoreBytes() })
 }
 
 // TotalCtxWords returns the context words loaded across the whole
 // schedule.
 func (s *Schedule) TotalCtxWords() int {
-	return s.sum(func(v *Visit) int { return v.CtxWords })
+	return s.Sum(func(v *Visit) int { return v.CtxWords })
 }
 
 // TotalComputeCycles returns the RC-array busy cycles across the whole
 // schedule.
 func (s *Schedule) TotalComputeCycles() int {
-	return s.sum(func(v *Visit) int { return v.ComputeCycles })
+	return s.Sum(func(v *Visit) int { return v.ComputeCycles })
 }
 
 // AvoidedBytesPerIter sums the per-iteration external traffic saved by

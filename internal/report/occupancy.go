@@ -32,7 +32,8 @@ func Occupancy(w io.Writer, rep *core.AllocationReport, set, fbBytes, cols int) 
 	}
 	var live []interval
 	var snapshots [][]interval
-	for _, ev := range rep.Events {
+	for i := range rep.NumEvents() {
+		ev := rep.Event(i)
 		if ev.Set != set {
 			continue
 		}
@@ -95,7 +96,8 @@ func glyph(datum string) byte {
 func Legend(w io.Writer, rep *core.AllocationReport, set int) {
 	seen := map[string]bool{}
 	fmt.Fprint(w, "legend:")
-	for _, ev := range rep.Events {
+	for i := range rep.NumEvents() {
+		ev := rep.Event(i)
 		if ev.Set != set || ev.Op != core.OpAlloc {
 			continue
 		}

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"cds/internal/core"
@@ -11,7 +12,9 @@ import (
 
 // FuzzVerifySchedule is the scheduling-pipeline fuzz oracle: for any
 // generatable workload and architecture, every schedule the schedulers
-// accept must pass the full invariant audit, and nothing may panic.
+// accept must pass the full invariant audit, with the same verdict on its
+// period as on its explicit expansion (WithVisits over Visits), and
+// nothing may panic.
 // Schedule-time rejections are fine only when they are typed taxonomy
 // errors (infeasible or capacity).
 func FuzzVerifySchedule(f *testing.F) {
@@ -56,7 +59,11 @@ func FuzzVerifySchedule(f *testing.F) {
 			}
 			return
 		}
-		if err := Schedule(s); err != nil {
+		err = Schedule(s)
+		if werr := Schedule(s.WithVisits(s.Visits())); fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("%s: verdict on the period %v; on the expansion %v", sched.Name(), err, werr)
+		}
+		if err != nil {
 			t.Fatalf("%s produced a schedule that fails verification: %v", sched.Name(), err)
 		}
 	})

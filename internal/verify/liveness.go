@@ -20,6 +20,15 @@ import (
 // The walk's own failures, an event naming no instance of its visit, a
 // step event out of execution order or an event after the last visit,
 // are violations too.
+//
+// The walk is core.Replay.WalkPeriod: it skips the steady runs that
+// repeat with nothing live at their ends. That keeps the check exact.
+// written is false for every slot that holds no placement, so it is the
+// same at both ends too. The external-memory record spans runs, but a
+// load only asks for a result of its own block: absolute iteration
+// Block*RF + iter with iter < Iters <= RF (ValidateSchedule checks the
+// block sizes). So the record is kept per instance, stamped with the
+// block that stored it, and a skipped run's stores are never asked for.
 func checkLiveness(s *core.Schedule, rep *core.AllocationReport) error {
 	a := s.P.App
 	r, err := core.NewReplay(s, rep)
@@ -29,16 +38,12 @@ func checkLiveness(s *core.Schedule, rep *core.AllocationReport) error {
 	// written[slot] marks a live placement that carries real bytes.
 	written := make([]bool, r.Slots())
 
-	// extWritten[id*ext+abs] marks datum id's result of absolute
-	// iteration abs as stored to external memory.
-	ext := 0
-	for i := range s.NumVisits() {
-		v := s.Visit(i)
-		ext = max(ext, v.Block*s.RF+v.Iters)
-	}
-	extWritten := make([]bool, a.NumData()*ext)
+	// stored[key] == block+1 marks the instance key's result of that
+	// block, absolute iteration block*RF + Iter(key), as stored to
+	// external memory.
+	stored := make([]int32, r.Inst.Len())
 
-	err = r.Walk(core.ReplayHooks{
+	err = r.WalkPeriod(core.ReplayHooks{
 		Event: func(vi, slot int, ev *core.AllocEvent, load bool) error {
 			if ev.Op == core.OpRelease {
 				written[slot] = false
@@ -50,8 +55,9 @@ func checkLiveness(s *core.Schedule, rep *core.AllocationReport) error {
 			// The placement is filled from external memory: the
 			// datum must exist out there.
 			id := r.Inst.Datum(int(ev.Inst))
-			abs := s.Visit(vi).Block*s.RF + r.Inst.Iter(int(ev.Inst))
-			if a.ProducerID(id) >= 0 && !extWritten[int(id)*ext+abs] {
+			block := s.Visit(vi).Block
+			if a.ProducerID(id) >= 0 && stored[ev.Inst] != int32(block+1) {
+				abs := block*s.RF + r.Inst.Iter(int(ev.Inst))
 				return violated("liveness", "visit %d loads %s@%d which was never stored to external memory",
 					vi, a.DatumName(id), abs)
 			}
@@ -96,7 +102,7 @@ func checkLiveness(s *core.Schedule, rep *core.AllocationReport) error {
 					if !written[pk] {
 						return violated("liveness", "visit %d stores %s#i%d which was never written", vi, m.Datum, slot)
 					}
-					extWritten[id*ext+v.Block*s.RF+slot] = true
+					stored[r.Inst.Key(int32(id), slot)] = int32(v.Block + 1)
 				}
 			}
 			return nil

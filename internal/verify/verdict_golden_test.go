@@ -9,7 +9,9 @@ package verify
 //
 //   - allocation-report mutations fed to checkCapacity and
 //     checkLiveness: drop an alloc, move a release ahead of its last
-//     reader, duplicate an alloc, swap two releases' sets;
+//     reader, duplicate an alloc, swap two releases' sets (each edits
+//     the replay of the schedule's expansion, which stores every
+//     event);
 //   - schedule mutations fed to Schedule: drop a store, shrink
 //     FBSetBytes (also fed to checkCapacity with the unshrunk replay),
 //     delete a context load.
@@ -220,7 +222,10 @@ func addVerdicts(t *testing.T, got map[string][]string, name string, p arch.Para
 			continue
 		}
 		got[key] = []string{verdict(Schedule(s))}
-		rep, err := core.AllocateWithOptions(s, core.AllocOptions{AllowSplit: true})
+		// The report mutations edit the replay of the expansion, which
+		// stores every event.
+		e := s.WithVisits(s.Visits())
+		rep, err := core.AllocateWithOptions(e, core.AllocOptions{AllowSplit: true})
 		if err != nil {
 			t.Fatalf("%s: replay: %v", key, err)
 		}
@@ -230,7 +235,7 @@ func addVerdicts(t *testing.T, got map[string][]string, name string, p arch.Para
 				got[key+"/"+m.name] = []string{"n/a"}
 				continue
 			}
-			got[key+"/"+m.name] = []string{verdict(checkCapacity(s, r)), verdict(checkLiveness(s, r))}
+			got[key+"/"+m.name] = []string{verdict(checkCapacity(e, r)), verdict(checkLiveness(e, r))}
 		}
 		for _, m := range scheduleMutations {
 			c := m.mutate(caseRand(key+"/"+m.name), s)

@@ -21,9 +21,9 @@
 //	                tile the makespan (busy + idle, no overlaps) and
 //	                the trace's busy totals equal the simulator's
 //	                reported compute and transfer cycles
-//	residency     — the generated transfer program passes codegen.Check
-//	                (contexts resident before EXEC, FB ranges legal,
-//	                volumes matching the schedule)
+//	residency     — the generated transfer program passes codegen.Check's
+//	                rules (contexts resident before EXEC, FB ranges
+//	                legal, volumes matching the schedule)
 //	fairness      — a multi-tenant plan (fairness.go) respects its
 //	                quotas, preempts only at cluster boundaries, keeps
 //	                weighted-share lag bounded and never beats any
@@ -32,13 +32,44 @@
 // Schedule does each piece of work once. It replays the allocation
 // itself (never trusting a caller's report) and shares that one replay
 // among the capacity, liveness and residency checks, the last through
-// codegen.GenerateFrom. Serialization and timeline are both checked
+// codegen.CheckFrom. Serialization and timeline are both checked
 // against one traced simulation (sim.Trace). The checkers key
 // per-instance state by each replay event's dense instance key
 // (AllocEvent.Inst) in flat tables, so no instance name is parsed,
 // formatted or hashed per event. Liveness runs on core.Replay, the one
 // execution-order walk of the replay that the functional machine
 // (internal/machine) also runs on.
+//
+// Schedule audits a schedule stored as a period (core.Period) without
+// walking every block. Loop fission runs the same visits in every block,
+// so the runs of the steady block differ only in their block numbers, and
+// each family's state is taken relative to the run:
+//
+//   - Per-run checks hold in every run once they hold in one run from the
+//     same state: structure (a visit's volumes and kernels), capacity,
+//     liveness within a run (dead and unwritten reads, stores of unwritten
+//     data) and residency (contexts before EXEC, FB ranges, stores of
+//     produced data). The allocation replay records one steady run and a
+//     repeat count (core.EventPeriod) once a run leaves every FB set empty
+//     and no remembered address moved; the capacity and liveness walks
+//     skip the later runs when their live tables are empty at both ends
+//     of that run, and the residency check skips them once the Context
+//     Memory residency and the produced table at the end of a run equal
+//     those at its start. A skipped run would replay the walked one from
+//     the same state, so it passes as that run did.
+//   - Checks that span runs are kept exact by arithmetic or by a state
+//     that the shift leaves unchanged: structure's block positions (runs 0
+//     and 1 pin the run to one block of every cluster) and iteration sums;
+//     residency's volume and EXEC totals, which add each skipped run's
+//     counts; liveness across runs, whose external-memory record is
+//     stamped with the storing block, since a load only reads a result of
+//     its own block.
+//
+// Errors name the indices of the expansion (visit, block, event,
+// instruction), so a violation reads the same as on the explicit list.
+// A schedule given as an explicit list (WithVisits), and a period whose
+// state at a run boundary never repeats, are walked in full. The traced
+// simulation behind serialization and timeline still covers every block.
 //
 // All violations match scherr.ErrVerify under errors.Is.
 package verify
@@ -108,11 +139,7 @@ func Schedule(s *core.Schedule) error {
 	if err := checkTimeline(res, tl); err != nil {
 		return err
 	}
-	prog, err := codegen.GenerateFrom(s, rep)
-	if err != nil {
-		return &Error{Invariant: "residency", Err: err}
-	}
-	if _, err := codegen.Check(prog, s); err != nil {
+	if _, err := codegen.CheckFrom(s, rep); err != nil {
 		return &Error{Invariant: "residency", Err: err}
 	}
 	return nil
@@ -120,27 +147,42 @@ func Schedule(s *core.Schedule) error {
 
 // checkCapacity replays the allocation events and asserts that live
 // bytes never exceed the set capacity, placements stay inside the set
-// and (absent splitting) no two live placements overlap.
+// and (absent splitting) no two live placements overlap. It walks the
+// report's period (core.EventPeriod): when nothing is live at either end
+// of the steady run, the live tables are empty at both, so each later run
+// of the same events would replay it exactly and is not walked.
 func checkCapacity(s *core.Schedule, rep *core.AllocationReport) error {
 	cap := s.Arch.FBSetBytes
 	r, err := core.NewReplay(s, rep)
 	if err != nil {
 		return &Error{Invariant: "capacity", Err: err}
 	}
-	// live[slot] is the index of the event that placed the instance on
-	// the set, or -1.
+	// live[slot] is the stored index (into rep.Events) of the event that
+	// placed the instance on the set, or -1; nLive counts the placed
+	// instances, liveAt those at the start of the steady run.
 	live := make([]int32, r.Slots())
 	for i := range live {
 		live[i] = -1
 	}
+	nLive, liveAt := 0, 0
 	used := make([]int, r.Sets)
 	// byAddr[set] lists the set's live placements in address order.
 	// Without splitting they are disjoint, so a new placement can only
 	// overlap its neighbours in that order.
 	byAddr := make([][]int32, r.Sets)
 	addrOf := func(e int32, addr int) int { return cmp.Compare(rep.Events[e].Addr, addr) }
-	for i := range rep.Events {
-		ev := &rep.Events[i]
+	p := rep.EventPeriod()
+	for i, n := 0, rep.NumEvents(); i < n; i++ {
+		if i == p.Lead {
+			liveAt = nLive
+		}
+		if p.Repeat > 1 && i == p.Lead+p.Len && liveAt == 0 && nLive == 0 {
+			if i += (p.Repeat - 1) * p.Len; i == n {
+				break
+			}
+		}
+		j, _ := p.At(i)
+		ev := &rep.Events[j]
 		slot := r.Slot(ev)
 		if slot < 0 {
 			return violated("capacity", "event %d: %s of %q on set %d names no instance of the schedule", i, ev.Op, rep.Object(*ev), ev.Set)
@@ -169,9 +211,10 @@ func checkCapacity(s *core.Schedule, rep *core.AllocationReport) error {
 							i, rep.Object(*ev), ev.Addr, ev.Addr+ev.Bytes, rep.Object(*oe), oe.Addr, oe.Addr+oe.Bytes, ev.Set)
 					}
 				}
-				byAddr[ev.Set] = slices.Insert(list, pos, int32(i))
+				byAddr[ev.Set] = slices.Insert(list, pos, int32(j))
 			}
-			live[slot] = int32(i)
+			live[slot] = int32(j)
+			nLive++
 			used[ev.Set] += ev.Bytes
 			if used[ev.Set] > cap {
 				return violated("capacity", "event %d: set %d holds %d live bytes, capacity %d",
@@ -183,6 +226,7 @@ func checkCapacity(s *core.Schedule, rep *core.AllocationReport) error {
 				return violated("capacity", "event %d: release of %q which is not live on set %d", i, rep.Object(*ev), ev.Set)
 			}
 			live[slot] = -1
+			nLive--
 			used[ev.Set] -= rep.Events[li].Bytes
 			if rep.Splits == 0 {
 				list := byAddr[ev.Set]

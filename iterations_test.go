@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"cds/internal/verify"
 )
 
 // itersPartition is a two-kernel application, one kernel per cluster,
@@ -78,5 +80,44 @@ func TestCompareCostFlatInIterations(t *testing.T) {
 	}
 	if largeObjects != smallObjects {
 		t.Errorf("a compare allocates %d objects at 10,000 iterations, %d at 100; want as many", largeObjects, smallObjects)
+	}
+}
+
+// TestVerifyCostInIterations: the audit walks the schedule's period, so
+// at 10,000 iterations (a two-visit lead block, a two-visit steady block
+// run 9,999 times) verify.Schedule of the CDS schedule allocates under
+// 45% of the 21,904,380 bytes it allocated when it walked every block.
+// What still grows with the iterations is the traced simulation
+// (sim.Trace), which walks every block.
+func TestVerifyCostInIterations(t *testing.T) {
+	const walkedEveryBlock = 21_904_380
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	pa, part := itersPartition(t, 10_000)
+	cmp, err := CompareAll(pa, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := cmp.CDS.Schedule
+	if per := s.Period(); s.NumVisits() != 20_000 || len(per.Visits) != 4 || per.Repeat != 9_999 {
+		t.Fatalf("CDS schedule: %d visits, %d stored, repeat %d; want 20,000, 4 and 9,999",
+			s.NumVisits(), len(per.Visits), per.Repeat)
+	}
+	bytes := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := verify.Schedule(s)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("verify.Schedule at 10,000 iterations: %d bytes", bytes)
+	if raceEnabled {
+		return // the race detector's build makes sim.Trace's span lists alone allocate over twice the bound
+	}
+	if bytes*100 > walkedEveryBlock*45 {
+		t.Errorf("verify.Schedule allocates %d bytes at 10,000 iterations; want under 45%% of %d", bytes, walkedEveryBlock)
 	}
 }
