@@ -258,3 +258,60 @@ func TestPeriodBasicResetsContextMemory(t *testing.T) {
 		t.Error("DS on MPEG is steady from block 0; want a leading block 0, whose Context Memory starts empty")
 	}
 }
+
+// TestValidatePeriodMatchesExplicit: ValidateSchedule walks only steady
+// runs 0, 1 and the last of a period, and must still give the verdict
+// and text of the expansion. Over the corpus it checks each schedule, the
+// same period stored with a steady run of two blocks (runs 0 and 1 then
+// disagree on where a run starts, which the runs between repeat), and,
+// for a schedule with a shorter tail block, the period whose steady block
+// also claims the tail (only its last run then runs too many
+// iterations).
+func TestValidatePeriodMatchesExplicit(t *testing.T) {
+	names, scheds := periodCorpus(t)
+	same := func(name string, s *core.Schedule) error {
+		t.Helper()
+		err := core.ValidateSchedule(s)
+		if werr := core.ValidateSchedule(s.WithVisits(s.Visits())); fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("%s: ValidateSchedule on the period %v, on the expansion %v", name, err, werr)
+		}
+		return err
+	}
+	doubled, claimed := 0, 0
+	for i, s := range scheds {
+		if err := same(names[i], s); err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		per := s.Period()
+		if per.Len == 0 || per.Repeat < 8 {
+			continue
+		}
+		steady, tail := per.Visits[per.Lead:per.Lead+per.Len], per.Visits[per.Lead+per.Len:]
+		if per.Repeat%2 == 0 {
+			next := slices.Clone(steady)
+			for j := range next {
+				next[j].Block++
+			}
+			d := per
+			d.Visits = slices.Concat(per.Visits[:per.Lead+per.Len], next, tail)
+			d.Len, d.Repeat = 2*per.Len, per.Repeat/2
+			if same(names[i]+"/two-block run", core.WithPeriod(s, d)) == nil {
+				t.Fatalf("%s: a two-block steady run passes", names[i])
+			}
+			doubled++
+		}
+		if len(tail) == per.Len && tail[0].Iters < steady[0].Iters {
+			c := per
+			c.Visits = per.Visits[:per.Lead+per.Len]
+			c.Repeat++
+			if same(names[i]+"/claimed tail", core.WithPeriod(s, c)) == nil {
+				t.Fatalf("%s: a steady block claiming the tail passes", names[i])
+			}
+			claimed++
+		}
+	}
+	t.Logf("%d two-block runs, %d claimed tails", doubled, claimed)
+	if doubled == 0 || claimed == 0 {
+		t.Errorf("%d two-block runs and %d claimed tails checked; want both", doubled, claimed)
+	}
+}
